@@ -11,15 +11,31 @@ FunctionBuilder::FunctionBuilder(ModuleBuilder* parent, uint32_t func_index, Fun
 }
 
 void FunctionBuilder::RenameEntry(std::string_view label) {
-  fn_.blocks[0].label = std::string(label);
+  std::string& entry = fn_.blocks[0].label;
+  // The old label goes back to the block it hid, if any.
+  block_index_.erase(entry);
+  if (entry_hides_ != 0) {
+    block_index_.emplace(entry, entry_hides_);
+  }
+  // The entry block comes first, so it wins the new label.
+  if (auto it = block_index_.find(label); it != block_index_.end()) {
+    entry_hides_ = it->second;
+    it->second = 0;
+  } else {
+    entry_hides_ = 0;
+    block_index_.emplace(label, 0);
+  }
+  entry = std::string(label);
 }
 
 uint32_t FunctionBuilder::Block(std::string_view label) {
-  if (auto existing = fn_.FindBlock(label)) {
-    return *existing;
+  if (auto it = block_index_.find(label); it != block_index_.end()) {
+    return it->second;
   }
+  const auto index = static_cast<uint32_t>(fn_.blocks.size());
   fn_.blocks.push_back(BasicBlock{std::string(label), {}});
-  return static_cast<uint32_t>(fn_.blocks.size() - 1);
+  block_index_.emplace(label, index);
+  return index;
 }
 
 void FunctionBuilder::SetBlock(uint32_t block) {

@@ -17,8 +17,10 @@
 #define ESD_SRC_IR_BUILDER_H_
 
 #include <cstdint>
+#include <functional>
 #include <string>
 #include <string_view>
+#include <unordered_map>
 #include <vector>
 
 #include "src/ir/module.h"
@@ -32,9 +34,10 @@ class ModuleBuilder;
 // virtual registers; parameters occupy registers [0, params.size()).
 class FunctionBuilder {
  public:
-  // Creates (or returns) the index of the block with the given label.
+  // Creates (or returns) the index of the block with the given label. When
+  // several blocks carry the label, returns the first. O(1).
   uint32_t Block(std::string_view label);
-  // Renames the entry block (created as "entry" by BeginFunction).
+  // Renames the entry block (created as "entry" by BeginFunction). O(1).
   void RenameEntry(std::string_view label);
   // Makes `block` the insertion point.
   void SetBlock(uint32_t block);
@@ -104,11 +107,25 @@ class FunctionBuilder {
   Value NewReg(Type type);
   Instruction& Append(Instruction inst);
 
+  struct LabelHash {
+    using is_transparent = void;
+    size_t operator()(std::string_view s) const noexcept {
+      return std::hash<std::string_view>{}(s);
+    }
+  };
+
   ModuleBuilder* parent_;
   uint32_t func_index_;
   Function fn_;
   uint32_t current_block_ = 0;
   bool finished_ = false;
+  // Label -> first block with that label. It lives in the builder, not in
+  // Function, which every synthesis copies. The keys own their strings:
+  // views into fn_.blocks[i].label would dangle when the vector grows.
+  std::unordered_map<std::string, uint32_t, LabelHash, std::equal_to<>> block_index_;
+  // Only RenameEntry can give two blocks one label: this is the block (> 0)
+  // whose label the entry block's label hides, or 0 for none.
+  uint32_t entry_hides_ = 0;
 };
 
 class ModuleBuilder {

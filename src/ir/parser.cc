@@ -1,10 +1,13 @@
 #include "src/ir/parser.h"
 
-#include <cctype>
-#include <cstdlib>
-#include <map>
+#include <charconv>
+#include <cstdint>
+#include <limits>
 #include <optional>
-#include <sstream>
+#include <string>
+#include <string_view>
+#include <system_error>
+#include <unordered_map>
 #include <vector>
 
 #include "src/ir/builder.h"
@@ -12,50 +15,89 @@
 namespace esd::ir {
 namespace {
 
-struct Line {
-  int number;
-  std::string text;
-};
-
-// Splits `text` into trimmed, comment-stripped, non-empty lines.
-std::vector<Line> SplitLines(std::string_view text) {
-  std::vector<Line> lines;
-  int number = 0;
-  size_t pos = 0;
-  while (pos <= text.size()) {
-    size_t end = text.find('\n', pos);
-    if (end == std::string_view::npos) {
-      end = text.size();
-    }
-    ++number;
-    std::string_view line = text.substr(pos, end - pos);
-    if (size_t comment = line.find(';'); comment != std::string_view::npos) {
-      line = line.substr(0, comment);
-    }
-    while (!line.empty() && std::isspace(static_cast<unsigned char>(line.front()))) {
-      line.remove_prefix(1);
-    }
-    while (!line.empty() && std::isspace(static_cast<unsigned char>(line.back()))) {
-      line.remove_suffix(1);
-    }
-    if (!line.empty()) {
-      lines.push_back(Line{number, std::string(line)});
-    }
-    pos = end + 1;
-    if (end == text.size()) {
-      break;
-    }
-  }
-  return lines;
+// Character classes of the C locale, which the grammar is written in.
+bool IsSpace(char c) { return c == ' ' || (c >= '\t' && c <= '\r'); }
+bool IsDigit(char c) { return c >= '0' && c <= '9'; }
+bool IsIdentChar(char c) {
+  return IsDigit(c) || (c >= 'a' && c <= 'z') || (c >= 'A' && c <= 'Z') || c == '_' ||
+         c == '.';
 }
 
-// A cursor over one line's characters with small parsing helpers.
+// Cuts `line` at the first ';' outside a string literal. Inside a literal a
+// backslash escapes the next character, as Cursor::QuotedString reads it.
+std::string_view StripComment(std::string_view line) {
+  bool quoted = false;
+  for (size_t i = 0; i < line.size(); ++i) {
+    if (quoted) {
+      if (line[i] == '\\') {
+        ++i;
+      } else if (line[i] == '"') {
+        quoted = false;
+      }
+    } else if (line[i] == '"') {
+      quoted = true;
+    } else if (line[i] == ';') {
+      return line.substr(0, i);
+    }
+  }
+  return line;
+}
+
+std::string_view Trim(std::string_view s) {
+  while (!s.empty() && IsSpace(s.front())) {
+    s.remove_prefix(1);
+  }
+  while (!s.empty() && IsSpace(s.back())) {
+    s.remove_suffix(1);
+  }
+  return s;
+}
+
+// A trimmed, comment-stripped, non-empty line: a view into the text given
+// to ParseModule, and its 1-based number there.
+struct Line {
+  int number = 0;
+  std::string_view text;
+};
+
+// Yields the lines of a text one at a time, skipping blank and comment-only
+// ones. A copy of a reader resumes where the original stood.
+class LineReader {
+ public:
+  explicit LineReader(std::string_view text) : rest_(text) {}
+
+  bool Next(Line* line) {
+    while (!done_) {
+      const size_t end = rest_.find('\n');
+      const std::string_view raw = rest_.substr(0, end);
+      if (end == std::string_view::npos) {
+        done_ = true;
+      } else {
+        rest_.remove_prefix(end + 1);
+      }
+      ++number_;
+      if (std::string_view text = Trim(StripComment(raw)); !text.empty()) {
+        *line = Line{number_, text};
+        return true;
+      }
+    }
+    return false;
+  }
+
+ private:
+  std::string_view rest_;
+  int number_ = 0;
+  bool done_ = false;
+};
+
+// A cursor over one line's characters with small parsing helpers. The
+// tokens it returns are views into the line.
 class Cursor {
  public:
   explicit Cursor(std::string_view s) : s_(s) {}
 
   void SkipSpace() {
-    while (pos_ < s_.size() && std::isspace(static_cast<unsigned char>(s_[pos_]))) {
+    while (pos_ < s_.size() && IsSpace(s_[pos_])) {
       ++pos_;
     }
   }
@@ -86,41 +128,33 @@ class Cursor {
     return false;
   }
 
-  // Reads an identifier ([A-Za-z0-9_.]+).
-  std::optional<std::string> Ident() {
+  // Reads an identifier ([A-Za-z0-9_.]+); empty if there is none.
+  std::string_view Ident() {
     SkipSpace();
-    size_t start = pos_;
+    const size_t start = pos_;
     while (pos_ < s_.size() && IsIdentChar(s_[pos_])) {
       ++pos_;
     }
-    if (pos_ == start) {
-      return std::nullopt;
-    }
-    return std::string(s_.substr(start, pos_ - start));
+    return s_.substr(start, pos_ - start);
   }
 
-  std::optional<int64_t> Int() {
+  // Reads an optionally signed run of decimal digits; empty, consuming
+  // nothing, if no digit follows.
+  std::string_view IntToken() {
     SkipSpace();
-    size_t start = pos_;
+    const size_t start = pos_;
     if (pos_ < s_.size() && (s_[pos_] == '-' || s_[pos_] == '+')) {
       ++pos_;
     }
-    size_t digits = pos_;
-    while (pos_ < s_.size() && std::isdigit(static_cast<unsigned char>(s_[pos_]))) {
+    const size_t digits = pos_;
+    while (pos_ < s_.size() && IsDigit(s_[pos_])) {
       ++pos_;
     }
     if (pos_ == digits) {
       pos_ = start;
-      return std::nullopt;
+      return {};
     }
-    // Parse the magnitude unsigned: the printer emits 64-bit immediates as
-    // unsigned decimal, so values >= 2^63 must round-trip instead of
-    // saturating at INT64_MAX (strtoll's behavior on overflow).
-    uint64_t magnitude = std::strtoull(s_.data() + digits, nullptr, 10);
-    if (s_[start] == '-') {
-      magnitude = ~magnitude + 1;
-    }
-    return static_cast<int64_t>(magnitude);
+    return s_.substr(start, pos_ - start);
   }
 
   std::optional<std::string> QuotedString() {
@@ -159,61 +193,109 @@ class Cursor {
     return out;
   }
 
-  std::string_view Rest() const { return s_.substr(pos_); }
-
  private:
-  static bool IsIdentChar(char c) {
-    return std::isalnum(static_cast<unsigned char>(c)) || c == '_' || c == '.';
-  }
-
   std::string_view s_;
   size_t pos_ = 0;
 };
 
+// The 64-bit pattern of a token read by Cursor::IntToken. Its value must lie
+// in [-2^63, 2^64 - 1]: the printer writes 64-bit immediates as unsigned
+// decimal, so values >= 2^63 must round-trip, and a negative value is kept
+// in two's complement. Returns nullopt outside that range.
+std::optional<uint64_t> DecodeInt(std::string_view token) {
+  const bool negative = token.front() == '-';
+  if (negative || token.front() == '+') {
+    token.remove_prefix(1);
+  }
+  uint64_t magnitude = 0;
+  if (std::from_chars(token.data(), token.data() + token.size(), magnitude).ec !=
+          std::errc() ||
+      (negative && magnitude > uint64_t{1} << 63)) {
+    return std::nullopt;
+  }
+  return negative ? 0 - magnitude : magnitude;
+}
+
+std::string OutOfRange(std::string_view what, std::string_view token) {
+  return std::string(what) + " " + std::string(token) + " out of range";
+}
+
+// Opcode of a binary instruction's mnemonic.
+std::optional<Opcode> BinaryOpcode(std::string_view word) {
+  for (auto op = static_cast<uint8_t>(Opcode::kAdd);
+       op <= static_cast<uint8_t>(Opcode::kAShr); ++op) {
+    if (OpcodeName(static_cast<Opcode>(op)) == word) {
+      return static_cast<Opcode>(op);
+    }
+  }
+  return std::nullopt;
+}
+
+std::optional<CmpPred> ParsePred(std::string_view word) {
+  for (auto p = static_cast<uint8_t>(CmpPred::kEq); p <= static_cast<uint8_t>(CmpPred::kSge);
+       ++p) {
+    if (CmpPredName(static_cast<CmpPred>(p)) == word) {
+      return static_cast<CmpPred>(p);
+    }
+  }
+  return std::nullopt;
+}
+
 class Parser {
  public:
   Parser(std::string_view text, Module* module)
-      : lines_(SplitLines(text)), module_(module), builder_(module) {}
+      : reader_(text), module_(module), builder_(module) {}
 
   ParseResult Run() {
-    while (index_ < lines_.size()) {
-      const Line& line = lines_[index_];
+    Line line;
+    while (reader_.Next(&line)) {
       Cursor c(line.text);
+      bool ok = false;
       if (c.ConsumeWord("global")) {
-        if (!ParseGlobal(c)) {
-          return Fail(line.number);
-        }
-        ++index_;
+        ok = ParseGlobal(c);
       } else if (c.ConsumeWord("extern")) {
-        if (!ParseExtern(c)) {
-          return Fail(line.number);
-        }
-        ++index_;
+        ok = ParseExtern(c);
       } else if (c.ConsumeWord("func")) {
-        if (!ParseFunction(c)) {
-          return Fail(lines_[index_].number);
-        }
+        ok = ParseFunction(c, &line);
       } else {
         error_ = "expected 'global', 'extern', or 'func'";
-        return Fail(line.number);
+      }
+      if (!ok) {
+        return ParseResult{false,
+                           "line " + std::to_string(line.number) + ": " + error_};
       }
     }
     return ParseResult{true, ""};
   }
 
  private:
-  ParseResult Fail(int line_number) {
-    std::ostringstream os;
-    os << "line " << line_number << ": " << error_;
-    return ParseResult{false, os.str()};
-  }
-
   bool ParseType(Cursor& c, Type* out) {
-    auto word = c.Ident();
-    if (!word || !ParseTypeName(*word, out)) {
+    std::string_view word = c.Ident();
+    if (word.empty() || !ParseTypeName(word, out)) {
       error_ = "expected a type";
       return false;
     }
+    return true;
+  }
+
+  // Reads a size or a scale: a decimal integer in [1, 2^32 - 1]. `what`
+  // names it in the error.
+  bool ParseCount(Cursor& c, std::string_view what, uint32_t* out) {
+    std::string_view token = c.IntToken();
+    if (token.empty() || token.front() == '-') {
+      error_ = "bad " + std::string(what);
+      return false;
+    }
+    std::optional<uint64_t> v = DecodeInt(token);
+    if (!v || *v > std::numeric_limits<uint32_t>::max()) {
+      error_ = OutOfRange(what, token);
+      return false;
+    }
+    if (*v == 0) {
+      error_ = "bad " + std::string(what);
+      return false;
+    }
+    *out = static_cast<uint32_t>(*v);
     return true;
   }
 
@@ -222,18 +304,17 @@ class Parser {
       error_ = "expected '$name' after 'global'";
       return false;
     }
-    auto name = c.Ident();
-    if (!name || !c.Consume('=')) {
+    std::string_view name = c.Ident();
+    if (name.empty() || !c.Consume('=')) {
       error_ = "malformed global";
       return false;
     }
     if (c.ConsumeWord("zero")) {
-      auto size = c.Int();
-      if (!size || *size <= 0) {
-        error_ = "bad global size";
+      uint32_t size = 0;
+      if (!ParseCount(c, "global size", &size)) {
         return false;
       }
-      builder_.AddGlobal(*name, static_cast<uint32_t>(*size));
+      builder_.AddGlobal(name, size);
       return true;
     }
     if (c.ConsumeWord("str")) {
@@ -242,25 +323,30 @@ class Parser {
         error_ = "bad string literal";
         return false;
       }
-      builder_.AddStringGlobal(*name, *text);
+      builder_.AddStringGlobal(name, *text);
       return true;
     }
     if (c.ConsumeWord("bytes")) {
-      auto size = c.Int();
-      if (!size || *size <= 0 || !c.Consume('[')) {
+      uint32_t size = 0;
+      if (!ParseCount(c, "bytes size", &size)) {
+        return false;
+      }
+      if (!c.Consume('[')) {
         error_ = "bad bytes global";
         return false;
       }
       std::vector<uint8_t> init;
       while (!c.Consume(']')) {
-        auto b = c.Int();
-        if (!b || *b < 0 || *b > 255) {
+        std::string_view token = c.IntToken();
+        std::optional<uint64_t> b =
+            token.empty() ? std::nullopt : DecodeInt(token);
+        if (!b || *b > 255) {
           error_ = "bad byte value";
           return false;
         }
         init.push_back(static_cast<uint8_t>(*b));
       }
-      builder_.AddGlobal(*name, static_cast<uint32_t>(*size), std::move(init));
+      builder_.AddGlobal(name, size, std::move(init));
       return true;
     }
     error_ = "expected 'zero', 'str', or 'bytes'";
@@ -272,8 +358,8 @@ class Parser {
       error_ = "expected '@name' after 'extern'";
       return false;
     }
-    auto name = c.Ident();
-    if (!name || !c.Consume('(')) {
+    std::string_view name = c.Ident();
+    if (name.empty() || !c.Consume('(')) {
       error_ = "malformed extern";
       return false;
     }
@@ -297,30 +383,32 @@ class Parser {
         return false;
       }
     }
-    builder_.DeclareExternal(*name, ret, std::move(params));
+    builder_.DeclareExternal(name, ret, std::move(params));
     return true;
   }
 
-  bool ParseFunction(Cursor& header) {
+  // Parses the function whose header is on `*line` through its closing
+  // lone '}'. On failure inside the body, points `*line` at the bad line.
+  bool ParseFunction(Cursor& header, Line* line) {
     if (!header.Consume('@')) {
       error_ = "expected '@name' after 'func'";
       return false;
     }
-    auto name = header.Ident();
-    if (!name || !header.Consume('(')) {
+    std::string_view name = header.Ident();
+    if (name.empty() || !header.Consume('(')) {
       error_ = "malformed func header";
       return false;
     }
     std::vector<Type> params;
-    std::vector<std::string> param_names;
+    std::vector<std::string_view> param_names;
     if (!header.Consume(')')) {
       do {
         if (!header.Consume('%')) {
           error_ = "expected '%param'";
           return false;
         }
-        auto pname = header.Ident();
-        if (!pname || !header.Consume(':')) {
+        std::string_view pname = header.Ident();
+        if (pname.empty() || !header.Consume(':')) {
           error_ = "malformed parameter";
           return false;
         }
@@ -329,7 +417,7 @@ class Parser {
           return false;
         }
         params.push_back(t);
-        param_names.push_back(*pname);
+        param_names.push_back(pname);
       } while (header.Consume(','));
       if (!header.Consume(')')) {
         error_ = "expected ')'";
@@ -347,108 +435,105 @@ class Parser {
       return false;
     }
 
-    // Find the body extent (up to the matching lone '}').
-    size_t body_start = index_ + 1;
-    size_t body_end = body_start;
-    while (body_end < lines_.size() && lines_[body_end].text != "}") {
-      ++body_end;
-    }
-    if (body_end >= lines_.size()) {
-      error_ = "missing '}'";
-      return false;
-    }
-
-    FunctionBuilder fb = builder_.BeginFunction(*name, ret, params);
+    FunctionBuilder fb = builder_.BeginFunction(name, ret, params);
     regs_.clear();
     for (size_t i = 0; i < param_names.size(); ++i) {
       regs_[param_names[i]] = fb.Param(static_cast<uint32_t>(i));
     }
 
-    // First pass: create blocks in order so forward branches resolve. If the
-    // body begins with a label, that label names the entry block.
-    bool first_label = true;
-    bool inst_before_label = false;
-    for (size_t i = body_start; i < body_end; ++i) {
-      const std::string& t = lines_[i].text;
-      if (t.back() == ':') {
-        std::string label = t.substr(0, t.size() - 1);
-        if (first_label && !inst_before_label) {
+    // First pass, up to the closing lone '}': create blocks in order so
+    // forward branches resolve. If the body begins with a label, that label
+    // names the entry block.
+    LineReader body = reader_;
+    Line l;
+    bool closed = false;
+    bool first_line = true;
+    while (!closed && reader_.Next(&l)) {
+      if (l.text == "}") {
+        closed = true;
+      } else if (l.text.back() == ':') {
+        std::string_view label = l.text.substr(0, l.text.size() - 1);
+        if (first_line) {
           fb.RenameEntry(label);
         } else {
           fb.Block(label);
         }
-        first_label = false;
-      } else if (first_label) {
-        inst_before_label = true;
       }
+      first_line = false;
+    }
+    if (!closed) {
+      error_ = "missing '}'";
+      return false;
     }
     // Second pass: parse instructions into their blocks.
-    for (size_t i = body_start; i < body_end; ++i) {
-      const Line& line = lines_[i];
-      Cursor c(line.text);
-      if (line.text.back() == ':') {
-        std::string label = line.text.substr(0, line.text.size() - 1);
-        fb.SetBlock(fb.Block(label));
+    while (body.Next(&l) && l.text != "}") {
+      if (l.text.back() == ':') {
+        fb.SetBlock(fb.Block(l.text.substr(0, l.text.size() - 1)));
         continue;
       }
+      Cursor c(l.text);
       if (!ParseInstruction(c, fb)) {
-        index_ = i;
+        *line = l;
         return false;
       }
     }
     fb.Finish();
-    index_ = body_end + 1;
     return true;
   }
 
   // Parses one operand. Returns nullopt and sets error_ on failure.
   std::optional<Value> ParseOperand(Cursor& c, FunctionBuilder& fb) {
     if (c.Consume('%')) {
-      auto name = c.Ident();
-      if (!name) {
+      std::string_view name = c.Ident();
+      if (name.empty()) {
         error_ = "expected register name";
         return std::nullopt;
       }
-      auto it = regs_.find(*name);
+      auto it = regs_.find(name);
       if (it == regs_.end()) {
-        error_ = "use of undefined register %" + *name;
+        error_ = "use of undefined register %" + std::string(name);
         return std::nullopt;
       }
       return it->second;
     }
     if (c.Consume('@')) {
-      auto name = c.Ident();
-      if (!name) {
+      std::string_view name = c.Ident();
+      if (name.empty()) {
         error_ = "expected function name";
         return std::nullopt;
       }
-      return fb.FuncAddr(*name);
+      return fb.FuncAddr(name);
     }
     if (c.Consume('$')) {
-      auto name = c.Ident();
-      if (!name) {
+      std::string_view name = c.Ident();
+      if (name.empty()) {
         error_ = "expected global name";
         return std::nullopt;
       }
-      if (!module_->FindGlobal(*name)) {
-        error_ = "use of undeclared global $" + *name;
+      if (!module_->FindGlobal(name)) {
+        error_ = "use of undeclared global $" + std::string(name);
         return std::nullopt;
       }
-      return fb.GlobalAddr(*name);
+      return fb.GlobalAddr(name);
     }
     if (c.ConsumeWord("null")) {
       return Value::Const(Type::kPtr, 0);
     }
     Type t;
     Cursor save = c;
-    auto word = c.Ident();
-    if (word && ParseTypeName(*word, &t) && t != Type::kVoid) {
-      auto v = c.Int();
-      if (!v) {
+    std::string_view word = c.Ident();
+    if (!word.empty() && ParseTypeName(word, &t) && t != Type::kVoid) {
+      std::string_view token = c.IntToken();
+      if (token.empty()) {
         error_ = "expected integer literal after type";
         return std::nullopt;
       }
-      return Value::Const(t, static_cast<uint64_t>(*v));
+      std::optional<uint64_t> v = DecodeInt(token);
+      if (!v) {
+        error_ = OutOfRange("integer literal", token);
+        return std::nullopt;
+      }
+      return Value::Const(t, *v);
     }
     c = save;
     error_ = "expected an operand";
@@ -474,40 +559,32 @@ class Parser {
     return true;
   }
 
-  bool DefineReg(const std::string& name, Value v) {
+  bool DefineReg(std::string_view name, Value v) {
     regs_[name] = v;
     return true;
   }
 
   bool ParseInstruction(Cursor& c, FunctionBuilder& fb) {
-    std::string result_name;
+    std::string_view result_name;
     bool has_result = false;
     Cursor save = c;
     if (c.Consume('%')) {
-      auto name = c.Ident();
-      if (name && c.Consume('=')) {
-        result_name = *name;
+      std::string_view name = c.Ident();
+      if (!name.empty() && c.Consume('=')) {
+        result_name = name;
         has_result = true;
       } else {
         c = save;
       }
     }
 
-    auto op_word = c.Ident();
-    if (!op_word) {
+    const std::string_view op = c.Ident();
+    if (op.empty()) {
       error_ = "expected an opcode";
       return false;
     }
-    const std::string& op = *op_word;
 
-    static const std::map<std::string, Opcode> kBinary = {
-        {"add", Opcode::kAdd},   {"sub", Opcode::kSub},   {"mul", Opcode::kMul},
-        {"udiv", Opcode::kUDiv}, {"sdiv", Opcode::kSDiv}, {"urem", Opcode::kURem},
-        {"srem", Opcode::kSRem}, {"and", Opcode::kAnd},   {"or", Opcode::kOr},
-        {"xor", Opcode::kXor},   {"shl", Opcode::kShl},   {"lshr", Opcode::kLShr},
-        {"ashr", Opcode::kAShr},
-    };
-    if (auto it = kBinary.find(op); it != kBinary.end()) {
+    if (std::optional<Opcode> binary = BinaryOpcode(op)) {
       auto a = ParseOperand(c, fb);
       if (!a || !c.Consume(',')) {
         return false;
@@ -520,17 +597,11 @@ class Parser {
         error_ = "binary operand type mismatch";
         return false;
       }
-      return DefineReg(result_name, fb.Binary(it->second, *a, *b));
+      return DefineReg(result_name, fb.Binary(*binary, *a, *b));
     }
     if (op == "icmp") {
-      static const std::map<std::string, CmpPred> kPreds = {
-          {"eq", CmpPred::kEq},   {"ne", CmpPred::kNe},   {"ult", CmpPred::kUlt},
-          {"ule", CmpPred::kUle}, {"ugt", CmpPred::kUgt}, {"uge", CmpPred::kUge},
-          {"slt", CmpPred::kSlt}, {"sle", CmpPred::kSle}, {"sgt", CmpPred::kSgt},
-          {"sge", CmpPred::kSge},
-      };
-      auto pred_word = c.Ident();
-      if (!pred_word || kPreds.find(*pred_word) == kPreds.end()) {
+      std::optional<CmpPred> pred = ParsePred(c.Ident());
+      if (!pred) {
         error_ = "bad icmp predicate";
         return false;
       }
@@ -542,7 +613,7 @@ class Parser {
       if (!b) {
         return false;
       }
-      return DefineReg(result_name, fb.ICmp(kPreds.at(*pred_word), *a, *b));
+      return DefineReg(result_name, fb.ICmp(*pred, *a, *b));
     }
     if (op == "not") {
       auto a = ParseOperand(c, fb);
@@ -581,12 +652,11 @@ class Parser {
       return DefineReg(result_name, fb.Select(*cond, *a, *b));
     }
     if (op == "alloca") {
-      auto size = c.Int();
-      if (!size || *size <= 0) {
-        error_ = "bad alloca size";
+      uint32_t size = 0;
+      if (!ParseCount(c, "alloca size", &size)) {
         return false;
       }
-      return DefineReg(result_name, fb.Alloca(static_cast<uint32_t>(*size)));
+      return DefineReg(result_name, fb.Alloca(size));
     }
     if (op == "load") {
       Type t;
@@ -620,20 +690,19 @@ class Parser {
       if (!i || !c.Consume(',')) {
         return false;
       }
-      auto scale = c.Int();
-      if (!scale || *scale <= 0) {
-        error_ = "bad gep scale";
+      uint32_t scale = 0;
+      if (!ParseCount(c, "gep scale", &scale)) {
         return false;
       }
-      return DefineReg(result_name, fb.Gep(*p, *i, static_cast<uint32_t>(*scale)));
+      return DefineReg(result_name, fb.Gep(*p, *i, scale));
     }
     if (op == "br") {
-      auto label = c.Ident();
-      if (!label) {
+      std::string_view label = c.Ident();
+      if (label.empty()) {
         error_ = "expected a label";
         return false;
       }
-      fb.Br(fb.Block(*label));
+      fb.Br(fb.Block(label));
       return true;
     }
     if (op == "condbr") {
@@ -641,17 +710,17 @@ class Parser {
       if (!cond || !c.Consume(',')) {
         return false;
       }
-      auto l1 = c.Ident();
-      if (!l1 || !c.Consume(',')) {
+      std::string_view l1 = c.Ident();
+      if (l1.empty() || !c.Consume(',')) {
         error_ = "expected labels";
         return false;
       }
-      auto l2 = c.Ident();
-      if (!l2) {
+      std::string_view l2 = c.Ident();
+      if (l2.empty()) {
         error_ = "expected a label";
         return false;
       }
-      fb.CondBr(*cond, fb.Block(*l1), fb.Block(*l2));
+      fb.CondBr(*cond, fb.Block(l1), fb.Block(l2));
       return true;
     }
     if (op == "call") {
@@ -659,8 +728,8 @@ class Parser {
         error_ = "expected '@callee'";
         return false;
       }
-      auto callee = c.Ident();
-      if (!callee || !c.Consume('(')) {
+      std::string_view callee = c.Ident();
+      if (callee.empty() || !c.Consume('(')) {
         error_ = "malformed call";
         return false;
       }
@@ -668,7 +737,7 @@ class Parser {
       if (!ParseOperands(c, fb, &args, ')')) {
         return false;
       }
-      Value v = fb.Call(*callee, std::move(args));
+      Value v = fb.Call(callee, std::move(args));
       if (has_result) {
         if (!v.IsValid()) {
           error_ = "void call cannot define a register";
@@ -718,15 +787,15 @@ class Parser {
       fb.Unreachable();
       return true;
     }
-    error_ = "unknown opcode '" + op + "'";
+    error_ = "unknown opcode '" + std::string(op) + "'";
     return false;
   }
 
-  std::vector<Line> lines_;
-  size_t index_ = 0;
+  LineReader reader_;
   Module* module_;
   ModuleBuilder builder_;
-  std::map<std::string, Value> regs_;
+  // The current function's registers by name, as views into the text.
+  std::unordered_map<std::string_view, Value> regs_;
   std::string error_;
 };
 

@@ -1,6 +1,6 @@
 // ESD IR: textual assembly parser.
 //
-// Grammar (line oriented; ';' starts a comment):
+// Grammar (line oriented; ';' outside a string literal starts a comment):
 //
 //   global $name = zero <size>
 //   global $name = str "text"            // NUL-terminated
@@ -16,6 +16,11 @@
 //
 // Operands: %reg, typed literals ("i32 42", negative allowed), "null"
 // (ptr 0), @function (function address), $global (global address).
+// A literal must lie in [-2^63, 2^64 - 1]; sizes (global, bytes, alloca)
+// and gep scales in [1, 2^32 - 1].
+//
+// The parse is linear in the text. Lines and tokens are views into `text`;
+// the module keeps none of them.
 #ifndef ESD_SRC_IR_PARSER_H_
 #define ESD_SRC_IR_PARSER_H_
 

@@ -1,145 +1,148 @@
 #include "src/ir/printer.h"
 
+#include <charconv>
+#include <concepts>
 #include <cstdio>
-#include <sstream>
+#include <string_view>
 
 namespace esd::ir {
 namespace {
 
-void PrintValue(std::ostream& os, const Module& module, const Value& v) {
-  switch (v.kind) {
-    case Value::Kind::kNone:
-      os << "<none>";
-      break;
-    case Value::Kind::kReg:
-      os << "%r" << v.index;
-      break;
-    case Value::Kind::kConst:
-      if (v.type == Type::kPtr && v.imm == 0) {
-        os << "null";
-      } else {
-        os << TypeName(v.type) << " " << v.imm;
-      }
-      break;
-    case Value::Kind::kFuncRef:
-      os << "@" << module.Func(v.index).name;
-      break;
-    case Value::Kind::kGlobalRef:
-      os << "$" << module.GlobalAt(v.index).name;
-      break;
-  }
-}
-
-void PrintOperandList(std::ostream& os, const Module& module, const Instruction& inst,
-                      size_t first) {
-  for (size_t i = first; i < inst.operands.size(); ++i) {
-    if (i != first) {
-      os << ", ";
+// A sink that hashes what is written to it with FNV-1a instead of keeping
+// it. The printer's other sink is std::string, which appends.
+class Fnv1aSink {
+ public:
+  void append(std::string_view s) {
+    for (unsigned char c : s) {
+      hash_ = (hash_ ^ c) * 0x100000001b3ull;
     }
-    PrintValue(os, module, inst.operands[i]);
   }
-}
+  uint64_t hash() const { return hash_; }
 
-}  // namespace
+ private:
+  uint64_t hash_ = 0xcbf29ce484222325ull;
+};
 
-std::string PrintInstruction(const Module& module, const Function& fn,
-                             const Instruction& inst) {
-  std::ostringstream os;
-  if (inst.result >= 0) {
-    os << "%r" << inst.result << " = ";
+// The one printer: writes the canonical text of a module, or of one of its
+// functions or instructions, to `Sink`.
+template <typename Sink>
+class Printer {
+ public:
+  Printer(const Module& module, Sink* sink) : module_(module), sink_(sink) {}
+
+  Printer& operator<<(std::string_view s) {
+    sink_->append(s);
+    return *this;
   }
-  switch (inst.op) {
-    case Opcode::kICmp:
-      os << "icmp " << CmpPredName(inst.pred) << " ";
-      PrintOperandList(os, module, inst, 0);
-      break;
-    case Opcode::kZExt:
-    case Opcode::kSExt:
-    case Opcode::kTrunc:
-      os << OpcodeName(inst.op) << " " << TypeName(inst.type) << ", ";
-      PrintOperandList(os, module, inst, 0);
-      break;
-    case Opcode::kAlloca:
-      os << "alloca " << inst.imm;
-      break;
-    case Opcode::kLoad:
-      os << "load " << TypeName(inst.type) << ", ";
-      PrintOperandList(os, module, inst, 0);
-      break;
-    case Opcode::kGep:
-      os << "gep ";
-      PrintOperandList(os, module, inst, 0);
-      os << ", " << inst.imm;
-      break;
-    case Opcode::kBr:
-      os << "br " << fn.blocks[inst.succ_true].label;
-      break;
-    case Opcode::kCondBr:
-      os << "condbr ";
-      PrintOperandList(os, module, inst, 0);
-      os << ", " << fn.blocks[inst.succ_true].label << ", "
-         << fn.blocks[inst.succ_false].label;
-      break;
-    case Opcode::kCall:
-      if (inst.callee != kInvalidIndex) {
-        os << "call @" << module.Func(inst.callee).name << "(";
-        PrintOperandList(os, module, inst, 0);
-        os << ")";
-      } else {
-        os << "calli " << TypeName(inst.type) << " ";
-        PrintValue(os, module, inst.operands[0]);
-        os << "(";
-        PrintOperandList(os, module, inst, 1);
-        os << ")";
+  template <std::integral Int>
+  Printer& operator<<(Int v) {
+    char buf[24];
+    const char* end = std::to_chars(buf, buf + sizeof(buf), v).ptr;
+    sink_->append(std::string_view(buf, static_cast<size_t>(end - buf)));
+    return *this;
+  }
+
+  void PrintModule() {
+    for (uint32_t g = 0; g < module_.NumGlobals(); ++g) {
+      PrintGlobal(module_.GlobalAt(g));
+    }
+    for (uint32_t f = 0; f < module_.NumFunctions(); ++f) {
+      PrintFunction(module_.Func(f));
+    }
+  }
+
+  void PrintFunction(const Function& fn) {
+    if (fn.is_external) {
+      *this << "extern @" << fn.name << "(";
+      for (size_t i = 0; i < fn.params.size(); ++i) {
+        if (i) {
+          *this << ", ";
+        }
+        *this << TypeName(fn.params[i]);
       }
-      break;
-    default:
-      os << OpcodeName(inst.op);
-      if (!inst.operands.empty()) {
-        os << " ";
-        PrintOperandList(os, module, inst, 0);
-      }
-      break;
-  }
-  return os.str();
-}
-
-std::string PrintFunction(const Module& module, uint32_t func_index) {
-  const Function& fn = module.Func(func_index);
-  std::ostringstream os;
-  if (fn.is_external) {
-    os << "extern @" << fn.name << "(";
+      *this << ") : " << TypeName(fn.ret_type) << "\n";
+      return;
+    }
+    *this << "func @" << fn.name << "(";
     for (size_t i = 0; i < fn.params.size(); ++i) {
       if (i) {
-        os << ", ";
+        *this << ", ";
       }
-      os << TypeName(fn.params[i]);
+      *this << "%r" << i << ": " << TypeName(fn.params[i]);
     }
-    os << ") : " << TypeName(fn.ret_type) << "\n";
-    return os.str();
-  }
-  os << "func @" << fn.name << "(";
-  for (size_t i = 0; i < fn.params.size(); ++i) {
-    if (i) {
-      os << ", ";
+    *this << ") : " << TypeName(fn.ret_type) << " {\n";
+    for (const BasicBlock& bb : fn.blocks) {
+      *this << bb.label << ":\n";
+      for (const Instruction& inst : bb.insts) {
+        *this << "  ";
+        PrintInstruction(fn, inst);
+        *this << "\n";
+      }
     }
-    os << "%r" << i << ": " << TypeName(fn.params[i]);
+    *this << "}\n";
   }
-  os << ") : " << TypeName(fn.ret_type) << " {\n";
-  for (const BasicBlock& bb : fn.blocks) {
-    os << bb.label << ":\n";
-    for (const Instruction& inst : bb.insts) {
-      os << "  " << PrintInstruction(module, fn, inst) << "\n";
-    }
-  }
-  os << "}\n";
-  return os.str();
-}
 
-std::string PrintModule(const Module& module) {
-  std::ostringstream os;
-  for (uint32_t g = 0; g < module.NumGlobals(); ++g) {
-    const Global& gl = module.GlobalAt(g);
+  void PrintInstruction(const Function& fn, const Instruction& inst) {
+    if (inst.result >= 0) {
+      *this << "%r" << inst.result << " = ";
+    }
+    switch (inst.op) {
+      case Opcode::kICmp:
+        *this << "icmp " << CmpPredName(inst.pred) << " ";
+        PrintOperandList(inst, 0);
+        break;
+      case Opcode::kZExt:
+      case Opcode::kSExt:
+      case Opcode::kTrunc:
+        *this << OpcodeName(inst.op) << " " << TypeName(inst.type) << ", ";
+        PrintOperandList(inst, 0);
+        break;
+      case Opcode::kAlloca:
+        *this << "alloca " << inst.imm;
+        break;
+      case Opcode::kLoad:
+        *this << "load " << TypeName(inst.type) << ", ";
+        PrintOperandList(inst, 0);
+        break;
+      case Opcode::kGep:
+        *this << "gep ";
+        PrintOperandList(inst, 0);
+        *this << ", " << inst.imm;
+        break;
+      case Opcode::kBr:
+        *this << "br " << fn.blocks[inst.succ_true].label;
+        break;
+      case Opcode::kCondBr:
+        *this << "condbr ";
+        PrintOperandList(inst, 0);
+        *this << ", " << fn.blocks[inst.succ_true].label << ", "
+              << fn.blocks[inst.succ_false].label;
+        break;
+      case Opcode::kCall:
+        if (inst.callee != kInvalidIndex) {
+          *this << "call @" << module_.Func(inst.callee).name << "(";
+          PrintOperandList(inst, 0);
+          *this << ")";
+        } else {
+          *this << "calli " << TypeName(inst.type) << " ";
+          PrintValue(inst.operands[0]);
+          *this << "(";
+          PrintOperandList(inst, 1);
+          *this << ")";
+        }
+        break;
+      default:
+        *this << OpcodeName(inst.op);
+        if (!inst.operands.empty()) {
+          *this << " ";
+          PrintOperandList(inst, 0);
+        }
+        break;
+    }
+  }
+
+ private:
+  void PrintGlobal(const Global& gl) {
     bool printable = !gl.init.empty();
     for (size_t i = 0; printable && i + 1 < gl.init.size(); ++i) {
       if (gl.init[i] < 0x20 || gl.init[i] > 0x7e || gl.init[i] == '"' ||
@@ -149,36 +152,86 @@ std::string PrintModule(const Module& module) {
     }
     if (printable && !gl.init.empty() && gl.init.back() == 0 &&
         gl.init.size() == gl.size) {
-      os << "global $" << gl.name << " = str \"";
-      os.write(reinterpret_cast<const char*>(gl.init.data()),
-               static_cast<std::streamsize>(gl.init.size() - 1));
-      os << "\"\n";
+      *this << "global $" << gl.name << " = str \""
+            << std::string_view(reinterpret_cast<const char*>(gl.init.data()),
+                                gl.init.size() - 1)
+            << "\"\n";
     } else if (gl.init.empty()) {
-      os << "global $" << gl.name << " = zero " << gl.size << "\n";
+      *this << "global $" << gl.name << " = zero " << gl.size << "\n";
     } else {
-      os << "global $" << gl.name << " = bytes " << gl.size << " [";
+      *this << "global $" << gl.name << " = bytes " << gl.size << " [";
       for (size_t i = 0; i < gl.init.size(); ++i) {
         if (i) {
-          os << " ";
+          *this << " ";
         }
-        os << static_cast<unsigned>(gl.init[i]);
+        *this << static_cast<unsigned>(gl.init[i]);
       }
-      os << "]\n";
+      *this << "]\n";
     }
   }
-  for (uint32_t f = 0; f < module.NumFunctions(); ++f) {
-    os << PrintFunction(module, f);
+
+  void PrintValue(const Value& v) {
+    switch (v.kind) {
+      case Value::Kind::kNone:
+        *this << "<none>";
+        break;
+      case Value::Kind::kReg:
+        *this << "%r" << v.index;
+        break;
+      case Value::Kind::kConst:
+        if (v.type == Type::kPtr && v.imm == 0) {
+          *this << "null";
+        } else {
+          *this << TypeName(v.type) << " " << v.imm;
+        }
+        break;
+      case Value::Kind::kFuncRef:
+        *this << "@" << module_.Func(v.index).name;
+        break;
+      case Value::Kind::kGlobalRef:
+        *this << "$" << module_.GlobalAt(v.index).name;
+        break;
+    }
   }
-  return os.str();
+
+  void PrintOperandList(const Instruction& inst, size_t first) {
+    for (size_t i = first; i < inst.operands.size(); ++i) {
+      if (i != first) {
+        *this << ", ";
+      }
+      PrintValue(inst.operands[i]);
+    }
+  }
+
+  const Module& module_;
+  Sink* sink_;
+};
+
+}  // namespace
+
+std::string PrintInstruction(const Module& module, const Function& fn,
+                             const Instruction& inst) {
+  std::string out;
+  Printer(module, &out).PrintInstruction(fn, inst);
+  return out;
+}
+
+std::string PrintFunction(const Module& module, uint32_t func_index) {
+  std::string out;
+  Printer(module, &out).PrintFunction(module.Func(func_index));
+  return out;
+}
+
+std::string PrintModule(const Module& module) {
+  std::string out;
+  Printer(module, &out).PrintModule();
+  return out;
 }
 
 uint64_t ModuleDigest(const Module& module) {
-  std::string text = PrintModule(module);
-  uint64_t h = 0xcbf29ce484222325ull;
-  for (unsigned char c : text) {
-    h = (h ^ c) * 0x100000001b3ull;
-  }
-  return h;
+  Fnv1aSink sink;
+  Printer(module, &sink).PrintModule();
+  return sink.hash();
 }
 
 std::string ModuleDigestHex(const Module& module) {

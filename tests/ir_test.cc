@@ -1,6 +1,10 @@
 // Unit tests for the IR: builder, parser, printer round-trip, verifier.
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <limits>
+#include <string>
+
 #include "src/ir/builder.h"
 #include "src/ir/module.h"
 #include "src/ir/parser.h"
@@ -111,6 +115,145 @@ global $c = bytes 4 [1 2 3 4]
   ASSERT_EQ(m.GlobalAt(1).init.size(), 3u);  // 'x', '\n', NUL
   EXPECT_EQ(m.GlobalAt(1).init[1], uint8_t{'\n'});
   EXPECT_EQ(m.GlobalAt(2).init.size(), 4u);
+}
+
+// Parses `text` and expects one error line, "line <line>: ...", that
+// mentions `what`.
+void ExpectParseError(const std::string& text, int line, const std::string& what) {
+  Module m;
+  ParseResult r = ParseModule(text, &m);
+  ASSERT_FALSE(r.ok) << text;
+  EXPECT_EQ(r.error.rfind("line " + std::to_string(line) + ": ", 0), 0u) << r.error;
+  EXPECT_EQ(r.error.find('\n'), std::string::npos) << r.error;
+  EXPECT_NE(r.error.find(what), std::string::npos) << r.error;
+}
+
+TEST(ParserTest, RejectsOutOfRangeIntegers) {
+  // A literal that does not fit is an error, never a saturated or
+  // truncated value.
+  ExpectParseError("func @f() : i64 {\nentry:\n  ret i64 99999999999999999999\n}\n", 3,
+                   "integer literal 99999999999999999999 out of range");
+  ExpectParseError("func @f() : i64 {\nentry:\n  ret i64 -9223372036854775809\n}\n", 3,
+                   "out of range");
+  ExpectParseError("func @f() : ptr {\nentry:\n  %p = alloca 99999999999\n  ret %p\n}\n",
+                   3, "alloca size 99999999999 out of range");
+  ExpectParseError("global $g = zero 4294967297\n", 1, "global size 4294967297 out of range");
+  ExpectParseError("global $g = bytes 4294967297 [1]\n", 1, "bytes size 4294967297 out of range");
+  ExpectParseError(
+      "func @f(%p: ptr) : ptr {\nentry:\n  %q = gep %p, i64 1, 4294967296\n  ret %q\n}\n", 3,
+      "gep scale 4294967296 out of range");
+  ExpectParseError("global $g = bytes 2 [1 256]\n", 1, "bad byte value");
+  ExpectParseError("func @f() : ptr {\nentry:\n  %p = alloca -4\n  ret %p\n}\n", 3,
+                   "bad alloca size");
+}
+
+TEST(ParserTest, AcceptsIntegersAtTheirLimits) {
+  Module m;
+  ParseResult r = ParseModule(R"(
+global $g = zero 4294967295
+global $b = bytes 4294967295 [0 255]
+func @big() : i64 {
+entry:
+  ret i64 18446744073709551615
+}
+func @small() : i64 {
+entry:
+  ret i64 -9223372036854775808
+}
+func @mem(%p: ptr) : ptr {
+entry:
+  %a = alloca 4294967295
+  %q = gep %p, i64 1, 4294967295
+  ret %q
+}
+)", &m);
+  ASSERT_TRUE(r.ok) << r.error;
+  constexpr uint32_t kMax32 = std::numeric_limits<uint32_t>::max();
+  EXPECT_EQ(m.GlobalAt(0).size, kMax32);
+  EXPECT_EQ(m.GlobalAt(1).size, kMax32);
+  EXPECT_EQ(m.Func(*m.FindFunction("big")).blocks[0].insts[0].operands[0].imm,
+            std::numeric_limits<uint64_t>::max());
+  EXPECT_EQ(m.Func(*m.FindFunction("small")).blocks[0].insts[0].operands[0].imm,
+            uint64_t{1} << 63);
+  const Function& mem = m.Func(*m.FindFunction("mem"));
+  EXPECT_EQ(mem.blocks[0].insts[0].imm, kMax32);
+  EXPECT_EQ(mem.blocks[0].insts[1].imm, kMax32);
+}
+
+TEST(ParserTest, DuplicateLabelResolvesToFirstBlock) {
+  Module m;
+  ParseResult r = ParseModule(R"(
+func @f() : i32 {
+entry:
+  br a
+a:
+  %x = add i32 1, i32 2
+a:
+  ret %x
+}
+)", &m);
+  ASSERT_TRUE(r.ok) << r.error;
+  const Function& fn = m.Func(0);
+  ASSERT_EQ(fn.blocks.size(), 2u);
+  EXPECT_EQ(fn.blocks[1].label, "a");
+  EXPECT_EQ(fn.blocks[1].insts.size(), 2u);  // The second "a:" resumes the first.
+  EXPECT_EQ(fn.blocks[0].insts[0].succ_true, 1u);
+  EXPECT_TRUE(Verify(m).empty());
+}
+
+TEST(ParserTest, BlockLabelledEntryAfterRenamedEntry) {
+  // The first label renames the entry block, so a later "entry:" is a block
+  // of its own, not the entry block under its old name.
+  Module m;
+  ParseResult r = ParseModule(R"(
+func @f() : void {
+start:
+  br entry
+entry:
+  ret
+}
+)", &m);
+  ASSERT_TRUE(r.ok) << r.error;
+  const Function& fn = m.Func(0);
+  ASSERT_EQ(fn.blocks.size(), 2u);
+  EXPECT_EQ(fn.blocks[0].label, "start");
+  EXPECT_EQ(fn.blocks[1].label, "entry");
+  EXPECT_EQ(fn.blocks[0].insts[0].succ_true, 1u);
+  EXPECT_TRUE(Verify(m).empty());
+}
+
+TEST(BuilderTest, LabelIndexFollowsRenamedEntry) {
+  Module m;
+  ModuleBuilder mb(&m);
+  FunctionBuilder fb = mb.BeginFunction("f", Type::kVoid, {});
+  EXPECT_EQ(fb.Block("entry"), 0u);
+  const uint32_t a = fb.Block("a");
+  EXPECT_EQ(fb.Block("a"), a);
+  // RenameEntry followed by a block labelled "entry": two distinct blocks.
+  fb.RenameEntry("start");
+  const uint32_t entry = fb.Block("entry");
+  EXPECT_NE(entry, 0u);
+  EXPECT_NE(entry, a);
+  EXPECT_EQ(fb.Block("start"), 0u);
+  // Renaming the entry block onto a taken label gives two blocks that label;
+  // the first one, the entry block, wins until it is renamed again.
+  fb.RenameEntry("a");
+  EXPECT_EQ(fb.Block("a"), 0u);
+  EXPECT_EQ(fb.Block("entry"), entry);
+  fb.RenameEntry("top");
+  EXPECT_EQ(fb.Block("a"), a);
+  EXPECT_EQ(fb.Block("top"), 0u);
+  const uint32_t start = fb.Block("start");
+  EXPECT_EQ(start, 3u);  // "start" was freed, so this is a new block.
+  for (uint32_t b : {0u, a, entry}) {
+    fb.SetBlock(b);
+    fb.Br(start);
+  }
+  fb.SetBlock(start);
+  fb.Ret();
+  fb.Finish();
+  EXPECT_EQ(m.Func(0).blocks.size(), 4u);
+  EXPECT_TRUE(Verify(m).empty());
 }
 
 TEST(BuilderTest, BuildsCallGraphWithForwardRefs) {
