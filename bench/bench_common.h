@@ -77,6 +77,11 @@ inline ToolOutcome RunKcOn(const workloads::Workload& w,
   return outcome;
 }
 
+// Where CalibBatchSeconds stores its loop result. A store to a volatile
+// namespace-scope object is observable, so the loop cannot fold away (an
+// unread function-local static trips gcc's -Wunused-but-set-variable).
+inline volatile uint64_t calib_sink = 0;
+
 // One machine-speed calibration batch: a fixed scalar FingerprintMix64
 // loop, returning its wall-clock seconds. Interleaved with the synthesis
 // runs in MeasureTrajectory so it samples the same load window; the CI gate
@@ -84,13 +89,12 @@ inline ToolOutcome RunKcOn(const workloads::Workload& w,
 // background load out of the regression comparison.
 inline double CalibBatchSeconds() {
   constexpr int kOps = 1 << 16;
-  static volatile uint64_t sink;  // Keeps the loop from folding away.
   auto t0 = std::chrono::steady_clock::now();
   uint64_t h = 0x9e3779b97f4a7c15ull;
   for (int i = 0; i < kOps; ++i) {
     h = vm::FingerprintMix64(h + static_cast<uint64_t>(i));
   }
-  sink = h;
+  calib_sink = h;
   return std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
       .count();
 }

@@ -1,6 +1,6 @@
-// Benchmarks the incremental constraint-solving pipeline (rewrite ->
-// independence slicing -> caches -> assumption-based incremental SAT) on
-// solver-heavy deadlock and race synthesis workloads.
+// Benchmarks the incremental constraint-solving pipeline (independence
+// slicing -> caches -> range discharge -> assumption-based incremental SAT)
+// on solver-heavy deadlock and race synthesis workloads.
 //
 // Both workloads put multiplication guards over symbolic inputs inside the
 // racing threads, so every explored interleaving re-asks nontrivial
@@ -11,8 +11,8 @@
 // playback, so a faster pipeline only counts if the synthesized executions
 // remain valid. Modes:
 //
-//   off   rewrite, slicing, incremental SAT and the shared cache disabled
-//         (per-query one-shot solving, the PR-2 solver)
+//   off   slicing, incremental SAT and the shared cache disabled
+//         (per-query one-shot solving; the range stage stays on)
 //   on    the full pipeline (the default configuration)
 //   priv  jobs > 1 only: pipeline on, but per-worker caches instead of the
 //         shared portfolio cache
@@ -71,7 +71,6 @@ Cell RunCell(const BenchCase& c, int jobs, const Mode& mode, double cap) {
   // so the committed baselines stay comparable. bench_portfolio owns the
   // cooperative-mode scaling numbers.
   options.cooperative = false;
-  options.solver_rewrite = mode.pipeline;
   options.solver_slice = mode.pipeline;
   options.solver_incremental = mode.pipeline;
   options.solver_cache_shared = mode.cache_shared;
@@ -124,8 +123,8 @@ int main() {
         BenchCase{"race-arith", module, workloads::AssertSiteDump(*module), true});
   }
 
-  std::printf("Incremental solver pipeline (rewrite + slicing + caches + "
-              "assumption SAT) vs. one-shot solving (cap %.0fs%s)\n\n",
+  std::printf("Incremental solver pipeline (slicing + caches + assumption "
+              "SAT) vs. one-shot solving (cap %.0fs%s)\n\n",
               cap, smoke ? ", smoke: gates skipped" : "");
   std::printf("%-15s | %-4s | %-4s | %-7s | %-9s | %-10s | %-7s | %-8s | %s\n",
               "Workload", "jobs", "mode", "SATcall", "conflicts",

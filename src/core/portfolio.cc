@@ -83,7 +83,7 @@ SynthesisResult RunPortfolio(
   // Cooperative frontier: per-worker deques behind one routing/stealing
   // protocol. Unused (but cheap) when racing.
   vm::SharedFrontier frontier(jobs, options.seed);
-  // Solver pipeline stage 3 (shared): one query/counterexample cache shared
+  // Solver pipeline stage 2 (shared): one query/counterexample cache shared
   // by every worker's ConstraintSolver. Workers chase the same goal through
   // the same program, so one worker's solve short-circuits the others'
   // identical component queries (--solver-cache-private opts out; each
@@ -116,7 +116,6 @@ SynthesisResult RunPortfolio(
     vm::Interpreter::Options iopts;
     iopts.policy = policy.get();
     iopts.race_detector = want_races ? &race_detector : nullptr;
-    iopts.rewrite_constraints = options.solver_rewrite;
     iopts.store_buffer = options.store_buffer;
     if (options.use_critical_edges) {
       iopts.branch_filter = MakeCriticalEdgeFilter(&goal, distances);
@@ -248,7 +247,6 @@ SynthesisResult RunPortfolio(
     result.seed_best_prefix = std::max(result.seed_best_prefix, out.seed_best_prefix);
     result.workers.push_back(std::move(out.report));
   }
-  result.solver_queries = result.solver.queries;  // Legacy scalar view.
   if (options.seed_schedule != nullptr) {
     result.seed_switches = options.seed_schedule->strict.size();
   }

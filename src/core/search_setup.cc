@@ -80,7 +80,6 @@ std::unique_ptr<vm::Searcher> MakeWorkerSearcher(
 solver::SolverOptions MakeSolverOptions(const SynthesisOptions& options,
                                         solver::SharedSolverCache* shared_cache) {
   solver::SolverOptions sopts;
-  sopts.rewrite = options.solver_rewrite;
   sopts.slice = options.solver_slice;
   sopts.range = options.solver_range;
   sopts.incremental = options.solver_incremental;

@@ -151,7 +151,6 @@ SynthesisResult Synthesizer::SynthesizeGoal(const Goal& goal) {
   vm::Interpreter::Options iopts;
   iopts.policy = policy.get();
   iopts.race_detector = want_races ? &race_detector : nullptr;
-  iopts.rewrite_constraints = options_.solver_rewrite;
   iopts.store_buffer = options_.store_buffer;
   if (options_.use_critical_edges) {
     iopts.branch_filter = MakeCriticalEdgeFilter(&goal, &distances);
@@ -191,7 +190,6 @@ SynthesisResult Synthesizer::SynthesizeGoal(const Goal& goal) {
   result.states_deduped = run.states_deduped;
   result.sleep_set_skips = policy != nullptr ? policy->sleep_set_skips() : 0;
   result.solver = solver.stats();
-  result.solver_queries = result.solver.queries;  // Legacy scalar view.
   if (seed_searcher != nullptr) {
     result.seed_best_prefix = seed_searcher->best_prefix();
   }
@@ -209,7 +207,6 @@ SynthesisResult Synthesizer::SynthesizeGoal(const Goal& goal) {
   solver::Model model;
   bool solved = solver.IsSatisfiable(run.goal_state->constraints, &model);
   result.solver = solver.stats();  // Include the final model solve.
-  result.solver_queries = result.solver.queries;
   if (!solved) {
     result.failure_reason = "goal state constraints unexpectedly unsatisfiable";
     return result;

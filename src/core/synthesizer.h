@@ -78,20 +78,17 @@ struct SynthesisOptions {
   // pair and skips re-forking it until a dependent operation wakes it.
   bool sleep_sets = true;
   // ---- Incremental constraint-solving pipeline (see src/solver/solver.h) --
-  // Stage 1: canonicalizing expression rewriter, applied both at
-  // ExecutionState::AddConstraint and before bit-blasting.
-  bool solver_rewrite = true;
-  // Stage 2: partition each query into independent components over shared
+  // Stage 1: partition each query into independent components over shared
   // variables; solve and cache per component.
   bool solver_slice = true;
   // Stage 4: assumption-based incremental SAT (persistent session keeping
   // learned clauses and bit-blasted circuits across queries).
   bool solver_incremental = true;
-  // Stage 3, jobs > 1: one query/counterexample cache shared by all workers
+  // Stage 2, jobs > 1: one query/counterexample cache shared by all workers
   // (sharded mutexes) instead of per-worker caches only. Mirrors the
   // --dedup shared/private split; cross-worker hits are counted per worker.
   bool solver_cache_shared = true;
-  // Stage 0: interval value-range discharge of guard constraints before
+  // Stage 3: interval value-range discharge of guard constraints before
   // bit-blasting (src/solver/range.h).
   bool solver_range = true;
   // ---- Pre-synthesis IR optimization (src/ir/passes) ----
@@ -163,8 +160,7 @@ struct SynthesisResult {
   uint64_t states_deduped = 0;
   uint64_t sleep_set_skips = 0;
   size_t intermediate_goals = 0;
-  uint64_t solver_queries = 0;  // Summed across workers when jobs > 1.
-  // Full solver-pipeline accounting (cache layers, rewrites, components,
+  // Full solver-pipeline accounting (queries, cache layers, components,
   // and the underlying SAT effort), summed across workers when jobs > 1.
   // esdsynth prints this so bench regressions are diagnosable from tool
   // output.

@@ -169,7 +169,6 @@ OracleVerdict CheckScenario(const GeneratedProgram& program,
                   "pruning-off ablation diverged: " + reason);
     }
     core::SynthesisOptions no_solver = ablation_base;
-    no_solver.solver_rewrite = false;
     no_solver.solver_slice = false;
     no_solver.solver_range = false;
     no_solver.solver_incremental = false;

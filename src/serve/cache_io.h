@@ -2,7 +2,7 @@
 //
 // The esdserved daemon persists three caches across jobs and restarts (see
 // docs/CACHE_FORMAT.md for the formats in full):
-//   - the shared solver query/counterexample cache (solver pipeline stage 3),
+//   - the shared solver query/counterexample cache (solver pipeline stage 2),
 //   - the DistanceCalculator tables (costs, goal tables, entry distances),
 //   - the execution-fingerprint corpus used for duplicate-bug triage (§8).
 //

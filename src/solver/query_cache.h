@@ -1,4 +1,4 @@
-// ESD solver: the shared portfolio query/counterexample cache (stage 4).
+// ESD solver: the shared portfolio query/counterexample cache (stage 2).
 //
 // Portfolio workers (`--jobs N`) explore the same program toward the same
 // goal, so they keep asking the same component-level satisfiability

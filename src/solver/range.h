@@ -1,4 +1,4 @@
-// ESD solver stage 0: interval value-range discharge.
+// ESD solver stage 3: interval value-range discharge.
 //
 // Before a constraint component reaches the bit-blaster, try to decide it
 // with interval reasoning over the expression DAG:

@@ -57,7 +57,6 @@ void ConstraintSolver::Stats::Accumulate(const Stats& other) {
   sat_calls += other.sat_calls;
   sliced_constraints += other.sliced_constraints;
   cache_evictions += other.cache_evictions;
-  rewrites += other.rewrites;
   components += other.components;
   range_checked += other.range_checked;
   range_discharged += other.range_discharged;
@@ -87,20 +86,19 @@ bool ConstraintSolver::IsSatisfiable(const std::vector<ExprRef>& constraints,
                                      Model* model) {
   ++stats_.queries;
   CountEvent(&EventCounters::solver_calls);
-  // Stage 1: canonicalize, fold, and drop trivially-true constraints (a
-  // rewritten-to-false constraint decides the query outright).
+  // Drop constant-true constraints; a constant-false one decides the query
+  // outright. No other simplification runs: the expr.h factories already
+  // folded constant subtrees when the interpreter built each constraint.
   std::vector<ExprRef> live;
   live.reserve(constraints.size());
   for (const ExprRef& c : constraints) {
-    ExprRef r = options_.rewrite ? rewriter_.Rewrite(c) : c;
-    if (r->IsFalse()) {
+    if (c->IsFalse()) {
       return false;
     }
-    if (!r->IsTrue()) {
-      live.push_back(std::move(r));
+    if (!c->IsTrue()) {
+      live.push_back(c);
     }
   }
-  stats_.rewrites = rewriter_.rewritten();
   if (live.empty()) {
     if (model) {
       *model = Model{};
@@ -117,7 +115,7 @@ bool ConstraintSolver::IsSatisfiable(const std::vector<ExprRef>& constraints,
     return true;
   }
 
-  // Stage 2: connected components over shared variables. Each component is
+  // Stage 1: connected components over shared variables. Each component is
   // cached and solved on its own, so a query differing from a past one only
   // in unrelated constraints still hits per-component.
   std::vector<std::vector<ExprRef>> components =
@@ -129,7 +127,7 @@ bool ConstraintSolver::IsSatisfiable(const std::vector<ExprRef>& constraints,
   bool complete = true;  // False when some component's values were skipped.
   for (const std::vector<ExprRef>& comp : components) {
     size_t key = HashQuery(comp);
-    // Stage 3a: per-solver query cache. A cached unsat answer decides the
+    // Stage 2a: per-solver query cache. A cached unsat answer decides the
     // whole conjunction even when a model was requested (there is nothing
     // to model); a cached sat answer suffices only when no values are
     // needed — otherwise fall through to the shared cache or a solve.
@@ -144,7 +142,7 @@ bool ConstraintSolver::IsSatisfiable(const std::vector<ExprRef>& constraints,
         continue;
       }
     }
-    // Stage 3b: shared portfolio cache. Models are re-validated by
+    // Stage 2b: shared portfolio cache. Models are re-validated by
     // evaluation before use, so a stale or colliding entry can never
     // produce a wrong assignment.
     if (options_.shared_cache != nullptr) {
@@ -170,7 +168,7 @@ bool ConstraintSolver::IsSatisfiable(const std::vector<ExprRef>& constraints,
         }
       }
     }
-    // Stage 0: interval value-range discharge. Decides the guard-shaped
+    // Stage 3: interval value-range discharge. Decides the guard-shaped
     // components (negated equality chains, pinned re-queries) without
     // touching the bit-blaster; its answers are exact (witnesses are
     // re-checked by evaluation), so they feed the caches like a solve.

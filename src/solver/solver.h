@@ -4,27 +4,28 @@
 // produces concrete models (the program inputs ESD reports). Mirrors the
 // role STP plays under KLEE in the paper's prototype.
 //
-// Queries run through a five-stage incremental pipeline (each stage
-// individually gated by SolverOptions, all on by default):
+// Queries run through a four-stage incremental pipeline (all on by default;
+// SolverOptions gates slicing, the shared cache, range and incremental SAT).
+// Constraints are solved as the interpreter built them: the expr.h
+// factories fold constant subtrees, constant-true constraints are skipped,
+// and a constant-false one decides the query before any stage runs.
 //
-//   0. range       — interval value-range discharge (range.h): per
+//   1. slice       — the constraint set is partitioned into connected
+//                    components over shared symbolic variables (KLEE-style
+//                    independence); each component is solved and cached on
+//                    its own, so unrelated path constraints no longer
+//                    perturb cache keys.
+//   2. cache       — a counterexample cache (the last model, re-checked by
+//                    cheap evaluation against the whole query before
+//                    slicing), a bounded per-solver query cache,
+//                    and optionally a shared portfolio cache
+//                    (query_cache.h) consulted by every `--jobs N` worker.
+//   3. range       — interval value-range discharge (range.h): per
 //                    component, after the caches miss, refine variable
 //                    ranges from eq/ult/ule-vs-constant conjuncts, refute
 //                    constraints whose interval is provably false, and
 //                    probe the refined point as a concrete witness. Guard
 //                    chains decided here never reach bit-blasting.
-//   1. rewrite     — canonicalization (rewrite.h): syntactic variants of
-//                    the same predicate hash equal; trivially-true
-//                    constraints vanish before any further work.
-//   2. slice       — the constraint set is partitioned into connected
-//                    components over shared symbolic variables (KLEE-style
-//                    independence); each component is solved and cached on
-//                    its own, so unrelated path constraints no longer
-//                    perturb cache keys.
-//   3. cache       — a counterexample cache (the last model, re-checked by
-//                    cheap evaluation), a bounded per-solver query cache,
-//                    and optionally a shared portfolio cache
-//                    (query_cache.h) consulted by every `--jobs N` worker.
 //   4. incremental — cache misses hit a persistent SatSolver + BitBlaster
 //                    session: constraints become assumption literals
 //                    (SatSolver::SolveAssuming), so learned clauses and
@@ -44,7 +45,6 @@
 #include <vector>
 
 #include "src/solver/expr.h"
-#include "src/solver/rewrite.h"
 #include "src/solver/sat.h"
 
 namespace esd::solver {
@@ -68,11 +68,10 @@ struct Model {
 // the switches exist for the bench_solver ablation and esdsynth's
 // --no-solver-* flags.
 struct SolverOptions {
-  bool rewrite = true;      // Stage 1: canonicalizing rewriter.
-  bool slice = true;        // Stage 2: independence partitioning.
-  bool range = true;        // Stage 0: interval value-range discharge.
+  bool slice = true;        // Stage 1: independence partitioning.
+  bool range = true;        // Stage 3: interval value-range discharge.
   bool incremental = true;  // Stage 4: assumption-based SAT session.
-  // Stage 3, portfolio only: cache shared across workers (not owned).
+  // Stage 2, portfolio only: cache shared across workers (not owned).
   SharedSolverCache* shared_cache = nullptr;
 };
 
@@ -112,9 +111,8 @@ class ConstraintSolver {
     uint64_t sliced_constraints = 0;  // Dropped by independence slicing.
     uint64_t cache_evictions = 0;     // FIFO evictions at kQueryCacheCap.
     // ---- Pipeline counters ----
-    uint64_t rewrites = 0;         // Constraints changed by the rewriter.
     uint64_t components = 0;       // Independent components processed.
-    // Range stage (0): components that reached it / decided by it. The
+    // Range stage (3): components that reached it / decided by it. The
     // bench_passes gate asserts range_discharged / range_checked >= 0.30
     // on the guard-heavy arithmetic workloads.
     uint64_t range_checked = 0;     // Components interval-analyzed.
@@ -146,7 +144,7 @@ class ConstraintSolver {
   // Partitions `constraints` into connected components over shared symbolic
   // variables: two constraints land in one component iff they are linked by
   // a chain of common variables. Components are independently satisfiable,
-  // so the conjunction is SAT iff every component is (stage 2 above).
+  // so the conjunction is SAT iff every component is (stage 1 above).
   static std::vector<std::vector<ExprRef>> PartitionIndependent(
       const std::vector<ExprRef>& constraints);
 
@@ -167,7 +165,6 @@ class ConstraintSolver {
   std::deque<size_t> query_order_;  // Insertion order, for FIFO eviction.
   std::optional<Model> last_model_;
   std::unique_ptr<SatSession> session_;
-  Rewriter rewriter_;
   Stats stats_;
 };
 

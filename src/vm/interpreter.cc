@@ -250,7 +250,6 @@ Interpreter::Interpreter(const ir::Module* module, solver::ConstraintSolver* sol
 StatePtr Interpreter::MakeInitialState(uint32_t entry_func, uint64_t state_id) const {
   auto state = std::make_shared<ExecutionState>();
   state->id = state_id;
-  state->rewrite_constraints = options_.rewrite_constraints;
   // Globals are allocated first, in order, so global index g lives in memory
   // object g+1 (see EvalValue's kGlobalRef case).
   for (uint32_t g = 0; g < module_->NumGlobals(); ++g) {

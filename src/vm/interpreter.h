@@ -184,9 +184,6 @@ class Interpreter {
     std::function<bool(const ExecutionState&, ir::InstRef, uint32_t)> branch_filter;
     // Upper bound for symbolic-buffer helpers (getenv and friends).
     uint32_t env_string_len = 8;
-    // Canonicalize path constraints at AddConstraint time (stage 1 of the
-    // solver pipeline; see SynthesisOptions::solver_rewrite).
-    bool rewrite_constraints = true;
     // Model TSO store-buffer reordering: relaxed atomic stores park in a
     // per-thread buffer and drain points fork extra schedule variants.
     // Off: every atomic store writes through in program order (the

@@ -4,7 +4,6 @@
 
 #include "src/core/arena.h"
 #include "src/core/event_counters.h"
-#include "src/solver/rewrite.h"
 #include "src/vm/fingerprint.h"
 
 namespace esd::vm {
@@ -128,11 +127,8 @@ solver::ExprRef ExecutionState::NewInput(const std::string& name, uint32_t width
 }
 
 void ExecutionState::AddConstraint(solver::ExprRef c) {
-  if (rewrite_constraints) {
-    c = solver::RewriteExpr(c);
-    if (c->IsTrue()) {
-      return;  // Trivially true: never reaches the solver or the digest.
-    }
+  if (c->IsTrue()) {
+    return;  // Trivially true: never reaches the solver or the digest.
   }
   constraints_digest = Fold(constraints_digest, static_cast<uint64_t>(c->hash()));
   constraints.push_back(std::move(c));

@@ -337,11 +337,10 @@ class ExecutionState {
   // vector per fingerprint). All constraint appends must go through here —
   // a direct push to `constraints` would silently stale the digest.
   //
-  // When `rewrite_constraints` is set (the default; gated by the solver
-  // pipeline's rewrite stage), the constraint is canonicalized first —
-  // solver::RewriteExpr — so the stored set, the digest, and every
-  // downstream solver query all see the same canonical form, and a
-  // constraint that rewrites to the constant true is dropped outright.
+  // The constraint is stored exactly as given (the expr.h factories have
+  // already folded its constant subtrees), so the stored set, the digest,
+  // and every solver query see the interpreter's own DAG. A constant-true
+  // constraint is dropped outright.
   void AddConstraint(solver::ExprRef c);
 
   // ---- Redundancy pruning (sleep sets + state fingerprint) ----
@@ -403,10 +402,6 @@ class ExecutionState {
   // Rolling order-sensitive digest of `constraints` (structural hashes),
   // maintained by AddConstraint and copied with the state on fork.
   uint64_t constraints_digest = 0;
-  // Canonicalize constraints at append time (set from
-  // Interpreter::Options::rewrite_constraints on the initial state and
-  // inherited by forks).
-  bool rewrite_constraints = true;
   uint64_t next_var_id = 1;
   // Input registry in creation order: (name, var expr).
   std::vector<std::pair<std::string, solver::ExprRef>> inputs;

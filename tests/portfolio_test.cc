@@ -67,7 +67,7 @@ TEST(Portfolio, SingleJobMatchesClassicEngine) {
   // step for step, and the synthesized executions must be identical.
   EXPECT_EQ(single.instructions, classic.instructions);
   EXPECT_EQ(single.states_created, classic.states_created);
-  EXPECT_EQ(single.solver_queries, classic.solver_queries);
+  EXPECT_EQ(single.solver.queries, classic.solver.queries);
   EXPECT_EQ(replay::Fingerprint(single.file), replay::Fingerprint(classic.file));
   EXPECT_TRUE(single.workers.empty());
   EXPECT_EQ(single.winning_worker, -1);

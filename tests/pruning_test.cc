@@ -151,6 +151,28 @@ TEST(StateFingerprint, ConstraintsDistinguish) {
   EXPECT_NE(a.Fingerprint(), b.Fingerprint());
 }
 
+TEST(StateFingerprint, ConstraintsAreStoredAsBuilt) {
+  // AddConstraint keeps the interpreter's own DAG: x + 5 == 9 is stored as
+  // that very node, not as an equivalent x == 4.
+  vm::ExecutionState a;
+  solver::ExprRef x = solver::MakeVar(1, 32, "x#1");
+  solver::ExprRef built = solver::MakeEq(solver::MakeAdd(x, solver::MakeConst(32, 5)),
+                                         solver::MakeConst(32, 9));
+  a.AddConstraint(built);
+  ASSERT_EQ(a.constraints.size(), 1u);
+  EXPECT_EQ(a.constraints[0].get(), built.get());
+  // So the digest sees the built form too: the two spellings do not merge
+  // (a missed merge costs states, never soundness).
+  vm::ExecutionState b;
+  b.AddConstraint(solver::MakeEq(x, solver::MakeConst(32, 4)));
+  EXPECT_NE(a.Fingerprint(), b.Fingerprint());
+  // A constant-true constraint reaches neither the set nor the digest.
+  uint64_t digest = a.constraints_digest;
+  a.AddConstraint(solver::MakeTrue());
+  EXPECT_EQ(a.constraints.size(), 1u);
+  EXPECT_EQ(a.constraints_digest, digest);
+}
+
 // ---- Fingerprint stability --------------------------------------------------
 
 // The fingerprint must depend on the memory *contents*, not on the order

@@ -1,14 +1,13 @@
-// Property suites for the expression simplifier, the canonicalizing
-// rewriter, and the SAT core: random expressions evaluated three ways
-// (direct fold, EvalExpr on the DAG, and through the bit-blaster + SAT
-// model) must agree; simplifier and rewriter transformations must preserve
-// semantics on random assignments and satisfiability under the solver.
+// Property suites for the expression simplifier and the SAT core: random
+// expressions evaluated three ways (direct fold, EvalExpr on the DAG, and
+// through the bit-blaster + SAT model) must agree; simplifier
+// transformations must preserve semantics on random assignments and
+// satisfiability under the solver.
 #include <random>
 
 #include <gtest/gtest.h>
 
 #include "src/solver/expr.h"
-#include "src/solver/rewrite.h"
 #include "src/solver/sat.h"
 #include "src/solver/solver.h"
 
@@ -199,209 +198,6 @@ TEST(SlicingTest, AnswersUnchangedBySlicing) {
   EXPECT_TRUE(solver.MayBeTrue(path, MakeEq(x, MakeConst(16, 2))));
   EXPECT_FALSE(solver.MayBeTrue(path, MakeEq(x, MakeConst(16, 5))));
   EXPECT_GE(solver.stats().sliced_constraints, 1u);
-}
-
-// ---- Rewriter soundness ----------------------------------------------------
-
-// Builds a random expression biased toward the shapes the rewriter targets
-// (constant chains, negated comparisons, compares against constants).
-ExprRef RandomRewriteExpr(std::mt19937_64& rng, const ExprRef& x, const ExprRef& y,
-                          int depth) {
-  uint32_t w = x->width();
-  if (depth == 0) {
-    switch (rng() % 3) {
-      case 0:
-        return x;
-      case 1:
-        return y;
-      default:
-        return MakeConst(w, rng());
-    }
-  }
-  ExprRef a = RandomRewriteExpr(rng, x, y, depth - 1);
-  ExprRef b = RandomRewriteExpr(rng, x, y, depth - 1);
-  ExprRef c = MakeConst(w, rng() % 300);
-  switch (rng() % 12) {
-    case 0:
-      return MakeAdd(MakeAdd(a, c), MakeConst(w, rng() % 300));
-    case 1:
-      return MakeSub(a, c);
-    case 2:
-      return MakeAnd(a, MakeOr(a, b));
-    case 3:
-      return MakeOr(a, MakeAnd(a, b));
-    case 4:
-      return MakeAnd(a, MakeNot(a));
-    case 5:
-      return MakeXor(MakeXor(a, c), MakeConst(w, rng() % 300));
-    case 6:
-      return MakeZExt(MakeExtract(a, 0, w / 2), w);
-    case 7:
-      return MakeMul(MakeMul(a, c), MakeConst(w, rng() % 7));
-    case 8:
-      return MakeIte(MakeLogicalNot(MakeUlt(a, b)), a, b);
-    case 9:
-      return MakeNot(a);
-    case 10:
-      return MakeIte(MakeEq(MakeAdd(a, c), MakeConst(w, rng() % 500)), a, b);
-    default:
-      return MakeIte(MakeUle(a, c), MakeSub(a, b), MakeAdd(a, b));
-  }
-}
-
-class RewriterPropertyTest : public ::testing::TestWithParam<int> {};
-
-// Rewrite(e) must evaluate identically to e under random assignments (full
-// semantic equivalence, which implies equisatisfiability), and must be
-// idempotent (canonical forms are fixpoints).
-TEST_P(RewriterPropertyTest, RewriteIsSemanticsPreserving) {
-  std::mt19937_64 rng(GetParam() * 12289);
-  const uint32_t w = 16;
-  ExprRef x = MakeVar(1, w, "x");
-  ExprRef y = MakeVar(2, w, "y");
-  Rewriter rewriter;
-  for (int round = 0; round < 8; ++round) {
-    ExprRef e = RandomRewriteExpr(rng, x, y, 3);
-    ExprRef r = rewriter.Rewrite(e);
-    EXPECT_TRUE(Expr::Equal(rewriter.Rewrite(r), r))
-        << "not idempotent: " << ExprToString(e) << " -> " << ExprToString(r);
-    for (int trial = 0; trial < 16; ++trial) {
-      std::map<uint64_t, uint64_t> env{{1, rng() & WidthMask(w)},
-                                       {2, rng() & WidthMask(w)}};
-      ASSERT_EQ(EvalExpr(e, env), EvalExpr(r, env))
-          << ExprToString(e) << " -> " << ExprToString(r);
-    }
-  }
-}
-
-INSTANTIATE_TEST_SUITE_P(Seeds, RewriterPropertyTest, ::testing::Range(1, 25));
-
-// Random width-1 expressions: e and Rewrite(e) must agree under the solver
-// (the end-to-end equisatisfiability the pipeline relies on). Pipeline-off
-// solvers decouple the check from the code under test.
-TEST_P(RewriterPropertyTest, RewriteIsEquisatisfiable) {
-  std::mt19937_64 rng(GetParam() * 24593);
-  const uint32_t w = 8;
-  ExprRef x = MakeVar(1, w, "x");
-  ExprRef y = MakeVar(2, w, "y");
-  SolverOptions off;
-  off.rewrite = false;
-  off.slice = false;
-  off.incremental = false;
-  for (int round = 0; round < 4; ++round) {
-    ExprRef a = RandomRewriteExpr(rng, x, y, 2);
-    ExprRef b = RandomRewriteExpr(rng, x, y, 2);
-    ExprRef e = rng() & 1 ? MakeEq(a, b) : MakeUlt(a, b);
-    ExprRef r = RewriteExpr(e);
-    ConstraintSolver original(off);
-    ConstraintSolver rewritten(off);
-    EXPECT_EQ(original.IsSatisfiable({e}), rewritten.IsSatisfiable({r}))
-        << ExprToString(e) << " -> " << ExprToString(r);
-  }
-}
-
-TEST(RewriteRuleTest, SubConstBecomesAddOfNegation) {
-  ExprRef x = MakeVar(1, 32, "x");
-  ExprRef r = RewriteExpr(MakeSub(x, MakeConst(32, 5)));
-  EXPECT_TRUE(Expr::Equal(r, MakeAdd(x, MakeConst(32, 0xfffffffb))));
-  // ... which unifies the two spellings of the same offset:
-  EXPECT_EQ(r->hash(), RewriteExpr(MakeAdd(x, MakeConst(32, -5))) ->hash());
-}
-
-TEST(RewriteRuleTest, ConstantChainsReassociate) {
-  ExprRef x = MakeVar(1, 32, "x");
-  EXPECT_TRUE(Expr::Equal(
-      RewriteExpr(MakeAdd(MakeAdd(x, MakeConst(32, 1)), MakeConst(32, 2))),
-      MakeAdd(x, MakeConst(32, 3))));
-  EXPECT_TRUE(Expr::Equal(
-      RewriteExpr(MakeMul(MakeMul(x, MakeConst(32, 3)), MakeConst(32, 5))),
-      MakeMul(x, MakeConst(32, 15))));
-  EXPECT_TRUE(Expr::Equal(
-      RewriteExpr(MakeXor(MakeXor(x, MakeConst(32, 0xf0)), MakeConst(32, 0x0f))),
-      MakeXor(x, MakeConst(32, 0xff))));
-  // add / sub chains meet in the middle.
-  EXPECT_TRUE(Expr::Equal(
-      RewriteExpr(MakeAdd(MakeSub(x, MakeConst(32, 2)), MakeConst(32, 2))), x));
-}
-
-TEST(RewriteRuleTest, AbsorptionAndComplement) {
-  ExprRef x = MakeVar(1, 32, "x");
-  ExprRef y = MakeVar(2, 32, "y");
-  EXPECT_TRUE(Expr::Equal(RewriteExpr(MakeAnd(x, MakeOr(x, y))), x));
-  EXPECT_TRUE(Expr::Equal(RewriteExpr(MakeAnd(MakeOr(y, x), x)), x));
-  EXPECT_TRUE(Expr::Equal(RewriteExpr(MakeOr(x, MakeAnd(x, y))), x));
-  EXPECT_TRUE(RewriteExpr(MakeAnd(x, MakeNot(x)))->IsConstValue(0));
-  EXPECT_TRUE(RewriteExpr(MakeOr(x, MakeNot(x)))->IsConstValue(0xffffffff));
-  EXPECT_TRUE(RewriteExpr(MakeXor(MakeNot(x), x))->IsConstValue(0xffffffff));
-}
-
-TEST(RewriteRuleTest, NegatedComparisonsFlipIntoDuals) {
-  ExprRef x = MakeVar(1, 32, "x");
-  ExprRef y = MakeVar(2, 32, "y");
-  EXPECT_TRUE(Expr::Equal(RewriteExpr(MakeLogicalNot(MakeUlt(x, y))),
-                          MakeUle(y, x)));
-  EXPECT_TRUE(Expr::Equal(RewriteExpr(MakeLogicalNot(MakeUle(x, y))),
-                          MakeUlt(y, x)));
-  EXPECT_TRUE(Expr::Equal(RewriteExpr(MakeLogicalNot(MakeSlt(x, y))),
-                          MakeSle(y, x)));
-  EXPECT_TRUE(Expr::Equal(RewriteExpr(MakeLogicalNot(MakeSle(x, y))),
-                          MakeSlt(y, x)));
-}
-
-TEST(RewriteRuleTest, EqualityShiftsInvertibleOpsOntoConstants) {
-  ExprRef x = MakeVar(1, 32, "x");
-  EXPECT_TRUE(Expr::Equal(
-      RewriteExpr(MakeEq(MakeAdd(x, MakeConst(32, 5)), MakeConst(32, 9))),
-      MakeEq(x, MakeConst(32, 4))));
-  EXPECT_TRUE(Expr::Equal(
-      RewriteExpr(MakeEq(MakeXor(x, MakeConst(32, 0xff)), MakeConst(32, 0x0f))),
-      MakeEq(x, MakeConst(32, 0xf0))));
-  EXPECT_TRUE(Expr::Equal(
-      RewriteExpr(MakeEq(MakeNot(x), MakeConst(32, 0))),
-      MakeEq(x, MakeConst(32, 0xffffffff))));
-  // zext strips when the constant fits, decides when it does not.
-  ExprRef narrow = MakeVar(2, 8, "n");
-  EXPECT_TRUE(Expr::Equal(
-      RewriteExpr(MakeEq(MakeZExt(narrow, 32), MakeConst(32, 200))),
-      MakeEq(narrow, MakeConst(8, 200))));
-  EXPECT_TRUE(
-      RewriteExpr(MakeEq(MakeZExt(narrow, 32), MakeConst(32, 300)))->IsFalse());
-}
-
-TEST(RewriteRuleTest, ComparisonConstantBounds) {
-  ExprRef x = MakeVar(1, 8, "x");
-  EXPECT_TRUE(RewriteExpr(MakeUlt(x, MakeConst(8, 0)))->IsFalse());
-  EXPECT_TRUE(Expr::Equal(RewriteExpr(MakeUlt(x, MakeConst(8, 1))),
-                          MakeEq(x, MakeConst(8, 0))));
-  EXPECT_TRUE(Expr::Equal(RewriteExpr(MakeUle(x, MakeConst(8, 0))),
-                          MakeEq(x, MakeConst(8, 0))));
-  EXPECT_TRUE(RewriteExpr(MakeUle(MakeConst(8, 0), x))->IsTrue());
-  EXPECT_TRUE(RewriteExpr(MakeUle(x, MakeConst(8, 255)))->IsTrue());
-  EXPECT_TRUE(RewriteExpr(MakeUlt(MakeConst(8, 255), x))->IsFalse());
-  // Signed extremes: nothing is below SMIN or above SMAX.
-  EXPECT_TRUE(RewriteExpr(MakeSlt(x, MakeConst(8, 0x80)))->IsFalse());
-  EXPECT_TRUE(RewriteExpr(MakeSle(x, MakeConst(8, 0x7f)))->IsTrue());
-  EXPECT_TRUE(RewriteExpr(MakeSle(MakeConst(8, 0x80), x))->IsTrue());
-  EXPECT_TRUE(RewriteExpr(MakeSlt(MakeConst(8, 0x7f), x))->IsFalse());
-}
-
-TEST(RewriteRuleTest, IteConditionNegationSwapsArms) {
-  ExprRef c = MakeVar(1, 1, "c");
-  ExprRef a = MakeVar(2, 32, "a");
-  ExprRef b = MakeVar(3, 32, "b");
-  EXPECT_TRUE(Expr::Equal(RewriteExpr(MakeIte(MakeLogicalNot(c), a, b)),
-                          MakeIte(c, b, a)));
-}
-
-TEST(RewriteRuleTest, CanonicalFormsHashEqual) {
-  // The payoff rule: different spellings of one predicate must produce one
-  // cache key. x + 3 == 10 vs x == 7, and !(x < 5) vs 5 <= x.
-  ExprRef x = MakeVar(1, 32, "x");
-  EXPECT_EQ(
-      RewriteExpr(MakeEq(MakeAdd(x, MakeConst(32, 3)), MakeConst(32, 10)))->hash(),
-      RewriteExpr(MakeEq(x, MakeConst(32, 7)))->hash());
-  EXPECT_EQ(RewriteExpr(MakeLogicalNot(MakeUlt(x, MakeConst(32, 5))))->hash(),
-            RewriteExpr(MakeUle(MakeConst(32, 5), x))->hash());
 }
 
 TEST(ExprPropertyTest, HashEqualityIsStructural) {

@@ -463,7 +463,7 @@ TEST(SatAssumptionTest, LearnedClausesPersistAcrossCalls) {
   EXPECT_EQ(s.Solve(), SatResult::kSat);
 }
 
-// ---- Independence partitioning (pipeline stage 2) --------------------------
+// ---- Independence partitioning (pipeline stage 1) --------------------------
 
 TEST(PartitionTest, SplitsUnrelatedConstraintsAndKeepsChains) {
   ExprRef x = MakeVar(1, 32, "x");
@@ -549,7 +549,6 @@ TEST(SolverTest, DuplicatedConstraintsDoNotCollideInTheQueryCache) {
 TEST(SolverTest, PipelineOnAndOffAgreeOnRandomQueries) {
   std::mt19937_64 rng(20260730);
   SolverOptions off;
-  off.rewrite = false;
   off.slice = false;
   off.incremental = false;
   ConstraintSolver with(SolverOptions{});
@@ -610,7 +609,7 @@ TEST(SolverTest, SessionHandlesVarIdReusedAtDifferentWidths) {
   EXPECT_EQ(m2.ValueOf(1), 77u);
 }
 
-// ---- Shared portfolio cache (pipeline stage 4) -----------------------------
+// ---- Shared portfolio cache (pipeline stage 2) -----------------------------
 
 TEST(SharedCacheTest, CrossWorkerUnsatHitSkipsTheSatCall) {
   SharedSolverCache cache;

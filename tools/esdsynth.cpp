@@ -6,7 +6,7 @@
 //            [--no-intermediate-goals] [--no-critical-edges] [--seed N]
 //            [--dedup | --no-dedup] [--dedup-private] [--no-sleep-sets]
 //            [--no-store-buffer]
-//            [--no-solver-rewrite] [--no-solver-slice] [--no-solver-range]
+//            [--no-solver-slice] [--no-solver-range]
 //            [--no-solver-incremental] [--no-solver-pipeline]
 //            [--solver-cache-shared | --solver-cache-private] [--counters]
 //            [--no-ir-opt] [--print-passes]
@@ -61,12 +61,11 @@ void Usage(std::ostream& os = std::cerr) {
      << "                          default on)\n"
      << "  --no-sleep-sets         disable sleep-set pruning of redundant\n"
      << "                          schedule forks (default on)\n"
-     << "  --no-solver-rewrite     disable the canonicalizing expression\n"
-     << "                          rewriter (solver pipeline stage 1)\n"
      << "  --no-solver-slice       disable independence partitioning of\n"
-     << "                          queries into components (stage 2)\n"
+     << "                          queries into components (solver\n"
+     << "                          pipeline stage 1)\n"
      << "  --no-solver-range       disable the interval value-range\n"
-     << "                          discharge of guard constraints (stage 0)\n"
+     << "                          discharge of guard constraints (stage 3)\n"
      << "  --no-solver-incremental disable the assumption-based incremental\n"
      << "                          SAT session (stage 4)\n"
      << "  --no-solver-pipeline    disable all of the above and the\n"
@@ -79,8 +78,8 @@ void Usage(std::ostream& os = std::cerr) {
      << "                          rewrite counts\n"
      << "  --solver-cache-shared / --solver-cache-private\n"
      << "                          with --jobs N: one solver query cache\n"
-     << "                          shared by all workers (default) or\n"
-     << "                          per-worker caches only\n"
+     << "                          (stage 2) shared by all workers\n"
+     << "                          (default) or per-worker caches only\n"
      << "  --counters              print the hot-path event counters (state\n"
      << "                          forks, COW page copies, frontier traffic,\n"
      << "                          solver calls; summed across workers)\n"
@@ -144,8 +143,6 @@ int main(int argc, char** argv) {
       options.store_buffer = false;
     } else if (arg == "--no-sleep-sets") {
       options.sleep_sets = false;
-    } else if (arg == "--no-solver-rewrite") {
-      options.solver_rewrite = false;
     } else if (arg == "--no-solver-slice") {
       options.solver_slice = false;
     } else if (arg == "--no-solver-range") {
@@ -153,7 +150,6 @@ int main(int argc, char** argv) {
     } else if (arg == "--no-solver-incremental") {
       options.solver_incremental = false;
     } else if (arg == "--no-solver-pipeline") {
-      options.solver_rewrite = false;
       options.solver_slice = false;
       options.solver_range = false;
       options.solver_incremental = false;
@@ -223,8 +219,7 @@ int main(int argc, char** argv) {
   std::cout << "esdsynth: solver: " << ss.queries << " queries, "
             << ss.cache_hits << " cache hits, " << ss.cex_hits << " cex hits, "
             << ss.shared_hits << " shared hits, " << ss.sat_calls
-            << " SAT calls over " << ss.components << " components ("
-            << ss.rewrites << " rewrites)\n"
+            << " SAT calls over " << ss.components << " components\n"
             << "esdsynth: solver: SAT effort: " << ss.sat_conflicts
             << " conflicts, " << ss.sat_decisions << " decisions, "
             << ss.sat_propagations << " propagations, " << ss.sat_learned
