@@ -73,13 +73,23 @@ SynthesisResult RunPortfolio(
   // worker (sharded mutexes; a duplicate found by any worker prunes it for
   // all) or one private table per worker (no cross-worker synchronization).
   // bench_pruning measures both configurations.
+  // Cooperative runs always share the table: ownership routing assumes one
+  // table records each interleaving class exactly once.
+  const bool shared_table = options.dedup && (options.dedup_shared || coop);
   vm::FingerprintTable shared_visited;
   std::vector<std::unique_ptr<vm::FingerprintTable>> private_visited(jobs);
-  if (options.dedup && !options.dedup_shared && !coop) {
+  if (options.dedup && !shared_table) {
     for (auto& table : private_visited) {
       table = std::make_unique<vm::FingerprintTable>();
     }
   }
+  // The race strategy forks at the sites the lockset detector has flagged,
+  // and that set is not in a state's fingerprint. So the workers that share
+  // a fingerprint table also share one detector, whose set only grows, and
+  // its size is part of every key they record (Engine::Options::
+  // dedup_races): a state is pruned only by one recorded under the same
+  // flagged sites, whichever worker ran it.
+  vm::RaceDetector shared_races;
   // Cooperative frontier: per-worker deques behind one routing/stealing
   // protocol. Unused (but cheap) when racing.
   vm::SharedFrontier frontier(jobs, options.seed);
@@ -107,15 +117,16 @@ SynthesisResult RunPortfolio(
     ScopedEventCounters counter_scope(&out.report.counters);
 
     solver::ConstraintSolver solver(MakeSolverOptions(options, shared_cache_ptr));
-    vm::RaceDetector race_detector;
+    vm::RaceDetector private_races;
+    vm::RaceDetector* races = shared_table ? &shared_races : &private_races;
     bool want_races = false;
     std::unique_ptr<vm::SchedulePolicy> policy =
-        MakeSchedulePolicy(goal, options.enable_race_detection, &race_detector,
+        MakeSchedulePolicy(goal, options.enable_race_detection, races,
                            &want_races, options.sleep_sets);
 
     vm::Interpreter::Options iopts;
     iopts.policy = policy.get();
-    iopts.race_detector = want_races ? &race_detector : nullptr;
+    iopts.race_detector = want_races ? races : nullptr;
     iopts.store_buffer = options.store_buffer;
     if (options.use_critical_edges) {
       iopts.branch_filter = MakeCriticalEdgeFilter(&goal, distances);
@@ -150,11 +161,11 @@ SynthesisResult RunPortfolio(
     eopts.shared_max_instructions = options.max_instructions;
     eopts.shared_states = &shared_states;
     eopts.shared_max_states = options.max_states;
-    if (options.dedup) {
-      // Cooperative runs always share the table: ownership routing assumes
-      // one table records each interleaving class exactly once.
-      eopts.visited = (options.dedup_shared || coop) ? &shared_visited
-                                                     : private_visited[w].get();
+    if (shared_table) {
+      eopts.visited = &shared_visited;
+      eopts.dedup_races = iopts.race_detector;
+    } else if (options.dedup) {
+      eopts.visited = private_visited[w].get();
     }
     if (coop) {
       eopts.frontier = &frontier;

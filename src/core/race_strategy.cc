@@ -47,7 +47,13 @@ bool RaceStrategy::StackContainsPrefix(const vm::Thread& thread) const {
 
 bool RaceStrategy::IsPreemptionAccess(const vm::ExecutionState& state,
                                       ir::InstRef site) {
-  if (detector_ == nullptr || detector_->FlaggedSites().count(site) == 0) {
+  if (detector_ == nullptr) {
+    return false;
+  }
+  if (detector_->FlaggedCount() != flagged_.size()) {
+    flagged_ = detector_->FlaggedSites();
+  }
+  if (flagged_.count(site) == 0) {
     return false;
   }
   return StackContainsPrefix(state.CurrentThread());

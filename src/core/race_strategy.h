@@ -9,6 +9,8 @@
 #ifndef ESD_SRC_CORE_RACE_STRATEGY_H_
 #define ESD_SRC_CORE_RACE_STRATEGY_H_
 
+#include <set>
+
 #include "src/core/goal.h"
 #include "src/vm/race_detector.h"
 #include "src/vm/schedule_policy.h"
@@ -41,6 +43,9 @@ class RaceStrategy : public vm::SchedulePolicy {
 
   Goal goal_;
   vm::RaceDetector* detector_;
+  // This policy's copy of the detector's flagged sites, refreshed when the
+  // detector's set grows (it may be shared with other portfolio workers).
+  std::set<ir::InstRef> flagged_;
   uint32_t preemption_budget_;
   uint32_t common_prefix_func_ = ir::kInvalidIndex;
   Stats stats_;

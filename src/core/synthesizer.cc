@@ -40,25 +40,19 @@ SynthesisResult Synthesizer::SynthesizeGoal(const Goal& goal) {
     ir::passes::ProtectedSites prot;
     for (const ThreadGoal& tg : goal.threads) {
       if (tg.target.IsValid()) {
-        prot.funcs.insert(tg.target.func);
         prot.sites.insert(tg.target);
       }
       for (const ir::InstRef& frame : tg.stack) {
         if (frame.IsValid()) {
-          prot.funcs.insert(frame.func);
           prot.sites.insert(frame);
         }
       }
     }
     optimized = *module_;
-    ir::passes::PassManager pm;
-    if (pm.Run(&*optimized, prot, &result.pass_stats)) {
+    if (ir::passes::PassManager().Run(&*optimized, prot, &result.pass_stats)) {
       search_module = &*optimized;
     } else {
       optimized.reset();  // Pipeline aborted: search the original.
-    }
-    if (options_.print_passes) {
-      result.pass_log = pm.log();
     }
   }
 
@@ -95,12 +89,10 @@ SynthesisResult Synthesizer::SynthesizeGoal(const Goal& goal) {
     size_t intermediate_goals = result.intermediate_goals;
     uint64_t tables_restored = result.distance_tables_restored;
     ir::passes::PassStats pass_stats = result.pass_stats;
-    std::string pass_log = std::move(result.pass_log);
     result = RunPortfolio(search_module, goal, &distances, search_goals, options_);
     result.intermediate_goals = intermediate_goals;
     result.distance_tables_restored = tables_restored;
     result.pass_stats = pass_stats;
-    result.pass_log = std::move(pass_log);
     result.counters.Add(setup_counters);
     return result;
   }

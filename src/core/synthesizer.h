@@ -96,8 +96,6 @@ struct SynthesisOptions {
   // and search on the optimized copy. Emitted execution files stay valid
   // against the original module (coordinate stability). --no-ir-opt.
   bool ir_opt = true;
-  // Surface the per-pass log in SynthesisResult::pass_log (--print-passes).
-  bool print_passes = false;
   // ---- Synthesis-service hooks (src/serve, the esdserved daemon) ----
   // External shared solver cache (not owned; may be null). When set, the
   // jobs == 1 path uses it too and the portfolio uses it instead of its
@@ -169,10 +167,8 @@ struct SynthesisResult {
   // by `esdsynth --counters` and embedded in the BENCH_*.json emitters.
   EventCounters counters;
 
-  // Pre-synthesis IR pipeline accounting: rewrite counts per category and,
-  // when SynthesisOptions::print_passes is set, the per-pass log.
+  // Pre-synthesis IR pipeline accounting: rewrite counts per category.
   ir::passes::PassStats pass_stats;
-  std::string pass_log;
 
   // Portfolio accounting (empty / -1 for jobs == 1).
   std::vector<WorkerReport> workers;

@@ -10,12 +10,11 @@ namespace esd::ir::passes {
 // step either way), so traces are unchanged; the search, however, stops
 // forking states at the dead edge.
 uint64_t BranchElidePass(Module* m, const ProtectedSites& prot,
-                         const ShapeExemptions& exempt, PassStats* stats) {
+                         PassStats* stats) {
   uint64_t elided = 0;
   for (uint32_t f = 0; f < m->NumFunctions(); ++f) {
     Function& fn = m->Func(f);
-    if (fn.is_external || fn.blocks.empty() ||
-        exempt.stubbed_funcs.count(f) > 0) {
+    if (fn.is_external || fn.blocks.empty()) {
       continue;
     }
     analysis::Cfg cfg(*m, f);

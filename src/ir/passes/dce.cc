@@ -1,5 +1,4 @@
 #include <set>
-#include <vector>
 
 #include "src/ir/passes/passes.h"
 
@@ -71,98 +70,18 @@ uint64_t NeutralizeDead(Function& fn, uint32_t f, const ProtectedSites& prot) {
   return neutralized;
 }
 
-// Empties blocks no execution can enter (unreachable from the entry over
-// branch edges) down to a single `unreachable` terminator. Skipped when the
-// block holds a protected site or defines a register some other block
-// still names (the textual def must survive for the printer/parser
-// round-trip and the verifier).
-uint64_t EmptyDeadBlocks(Function& fn, uint32_t f, const ProtectedSites& prot,
-                         ShapeExemptions* exempt, uint64_t* emptied) {
-  size_t n = fn.blocks.size();
-  std::vector<bool> reachable(n, false);
-  std::vector<uint32_t> work{0};
-  reachable[0] = true;
-  while (!work.empty()) {
-    uint32_t b = work.back();
-    work.pop_back();
-    for (const Instruction& inst : fn.blocks[b].insts) {
-      if (inst.op == Opcode::kBr || inst.op == Opcode::kCondBr) {
-        for (uint32_t s : {inst.succ_true, inst.succ_false}) {
-          if (s != kInvalidIndex && s < n && !reachable[s]) {
-            reachable[s] = true;
-            work.push_back(s);
-          }
-        }
-      }
-    }
-  }
-  uint64_t changes = 0;
-  for (uint32_t b = 1; b < n; ++b) {
-    if (reachable[b] || prot.HasSiteIn(f, b)) {
-      continue;
-    }
-    BasicBlock& bb = fn.blocks[b];
-    if (bb.insts.size() == 1 && bb.insts[0].op == Opcode::kUnreachable) {
-      continue;  // Already a tombstone.
-    }
-    bool defs_escape = false;
-    for (const Instruction& inst : bb.insts) {
-      if (inst.result < 0) {
-        continue;
-      }
-      for (uint32_t ob = 0; ob < n && !defs_escape; ++ob) {
-        if (ob == b) {
-          continue;
-        }
-        for (const Instruction& other : fn.blocks[ob].insts) {
-          for (const Value& v : other.operands) {
-            if (v.kind == Value::Kind::kReg &&
-                v.index == static_cast<uint32_t>(inst.result)) {
-              defs_escape = true;
-              break;
-            }
-          }
-          if (defs_escape) {
-            break;
-          }
-        }
-      }
-      if (defs_escape) {
-        break;
-      }
-    }
-    if (defs_escape) {
-      continue;
-    }
-    Instruction tomb;
-    tomb.op = Opcode::kUnreachable;
-    bb.insts.assign(1, tomb);
-    exempt->emptied_blocks.emplace(f, b);
-    ++*emptied;
-    ++changes;
-  }
-  return changes;
-}
-
 }  // namespace
 
-uint64_t DcePass(Module* m, const ProtectedSites& prot,
-                 ShapeExemptions* exempt, PassStats* stats) {
-  uint64_t rewrites = 0;
-  uint64_t emptied = 0;
+uint64_t DcePass(Module* m, const ProtectedSites& prot, PassStats* stats) {
+  uint64_t neutralized = 0;
   for (uint32_t f = 0; f < m->NumFunctions(); ++f) {
     Function& fn = m->Func(f);
-    if (fn.is_external || fn.blocks.empty() ||
-        exempt->stubbed_funcs.count(f) > 0) {
-      continue;
+    if (!fn.is_external) {
+      neutralized += NeutralizeDead(fn, f, prot);
     }
-    uint64_t neutralized = NeutralizeDead(fn, f, prot);
-    stats->neutralized_insts += neutralized;
-    rewrites += neutralized;
-    rewrites += EmptyDeadBlocks(fn, f, prot, exempt, &emptied);
   }
-  stats->emptied_blocks += emptied;
-  return rewrites;
+  stats->neutralized_insts += neutralized;
+  return neutralized;
 }
 
 }  // namespace esd::ir::passes

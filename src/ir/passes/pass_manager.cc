@@ -1,4 +1,4 @@
-#include <sstream>
+#include <optional>
 #include <vector>
 
 #include "src/core/event_counters.h"
@@ -9,58 +9,36 @@ namespace esd::ir::passes {
 namespace {
 
 // Per-block instruction counts for every function: the coordinate-stability
-// fingerprint. Any deviation not covered by an exemption means a pass moved
-// an instruction and the optimized module can no longer stand in for the
-// original during search.
-struct Shape {
-  std::vector<std::vector<size_t>> block_sizes;  // [func][block]
+// fingerprint. No pass may change a block's size, so any deviation means a
+// pass moved an instruction and the optimized module can no longer stand
+// in for the original during search.
+using BlockSizes = std::vector<std::vector<size_t>>;  // [func][block]
 
-  static Shape Of(const Module& m) {
-    Shape s;
-    s.block_sizes.resize(m.NumFunctions());
-    for (uint32_t f = 0; f < m.NumFunctions(); ++f) {
-      const Function& fn = m.Func(f);
-      s.block_sizes[f].reserve(fn.blocks.size());
-      for (const BasicBlock& bb : fn.blocks) {
-        s.block_sizes[f].push_back(bb.insts.size());
-      }
-    }
-    return s;
-  }
-};
-
-// Checks `m` against the pre-pipeline shape, honoring the exemptions the
-// passes declared. Returns an empty string when coordinates are intact.
-std::string CheckShape(const Module& m, const Shape& before,
-                       const ShapeExemptions& exempt) {
-  if (m.NumFunctions() != before.block_sizes.size()) {
-    return "function count changed";
-  }
+BlockSizes BlockSizesOf(const Module& m) {
+  BlockSizes sizes(m.NumFunctions());
   for (uint32_t f = 0; f < m.NumFunctions(); ++f) {
-    if (exempt.stubbed_funcs.count(f) > 0) {
-      continue;
-    }
-    const Function& fn = m.Func(f);
-    if (fn.blocks.size() != before.block_sizes[f].size()) {
-      return "block count changed in " + fn.name;
-    }
-    for (uint32_t b = 0; b < fn.blocks.size(); ++b) {
-      if (exempt.emptied_blocks.count({f, b}) > 0) {
-        continue;
-      }
-      if (fn.blocks[b].insts.size() != before.block_sizes[f][b]) {
-        return "instruction count changed in " + fn.name + " block " +
-               std::to_string(b);
-      }
+    for (const BasicBlock& bb : m.Func(f).blocks) {
+      sizes[f].push_back(bb.insts.size());
     }
   }
-  return {};
+  return sizes;
+}
+
+// Runs one pass and counts it. A pass that rewrote something must leave a
+// module that verifies and keeps the pre-pipeline block sizes. Returns the
+// rewrite count, or nothing when that check failed.
+std::optional<uint64_t> RunChecked(
+    uint64_t (*pass)(Module*, const ProtectedSites&, PassStats*), Module* m,
+    const ProtectedSites& prot, PassStats* stats, const BlockSizes& before) {
+  uint64_t n = pass(m, prot, stats);
+  CountEvent(&EventCounters::ir_passes_run);
+  if (n > 0 && (!Verify(*m).empty() || BlockSizesOf(*m) != before)) {
+    return std::nullopt;
+  }
+  return n;
 }
 
 }  // namespace
-
-PassManager::PassManager(const PassManagerOptions& options)
-    : options_(options) {}
 
 bool PassManager::Run(Module* m, const ProtectedSites& prot,
                       PassStats* stats) {
@@ -68,66 +46,20 @@ bool PassManager::Run(Module* m, const ProtectedSites& prot,
   if (stats == nullptr) {
     stats = &local;
   }
-  log_.clear();
-  std::ostringstream log;
-  Shape before = Shape::Of(*m);
-  ShapeExemptions exempt;
-
-  struct Entry {
-    const char* name;
-    uint64_t (*run)(Module*, const ProtectedSites&, ShapeExemptions*,
-                    PassStats*);
-  };
-  const Entry pipeline[] = {
-      {"constant-fold",
-       [](Module* m, const ProtectedSites& p, ShapeExemptions* e,
-          PassStats* s) { return ConstantFoldPass(m, p, *e, s); }},
-      {"branch-elide",
-       [](Module* m, const ProtectedSites& p, ShapeExemptions* e,
-          PassStats* s) { return BranchElidePass(m, p, *e, s); }},
-      {"dce",
-       [](Module* m, const ProtectedSites& p, ShapeExemptions* e,
-          PassStats* s) { return DcePass(m, p, e, s); }},
-      {"slice",
-       [](Module* m, const ProtectedSites& p, ShapeExemptions* e,
-          PassStats* s) { return SlicePass(m, p, e, s); }},
-  };
-
-  for (int round = 1; round <= options_.max_rounds; ++round) {
-    uint64_t round_rewrites = 0;
-    for (const Entry& pass : pipeline) {
-      uint64_t n = pass.run(m, prot, &exempt, stats);
-      CountEvent(&EventCounters::ir_passes_run);
-      round_rewrites += n;
-      log << "round " << round << ": " << pass.name << " " << n
-          << " rewrite" << (n == 1 ? "" : "s") << "\n";
-      if (n == 0) {
-        continue;  // Nothing changed; checks below would be a no-op.
-      }
-      if (options_.verify_between) {
-        std::vector<std::string> errors = Verify(*m);
-        if (!errors.empty()) {
-          log << "VERIFIER FAILED after " << pass.name << ": " << errors[0]
-              << "\n";
-          log_ = log.str();
-          return false;
-        }
-      }
-      std::string shape_err = CheckShape(*m, before, exempt);
-      if (!shape_err.empty()) {
-        log << "COORDINATE CHECK FAILED after " << pass.name << ": "
-            << shape_err << "\n";
-        log_ = log.str();
-        return false;
-      }
+  const BlockSizes before = BlockSizesOf(*m);
+  if (!RunChecked(BranchElidePass, m, prot, stats, before)) {
+    return false;
+  }
+  // Each round neutralizes the definitions the previous one left unused.
+  for (;;) {
+    std::optional<uint64_t> n = RunChecked(DcePass, m, prot, stats, before);
+    if (!n) {
+      return false;
     }
-    ++stats->rounds;
-    if (round_rewrites == 0) {
-      break;
+    if (*n == 0) {
+      return true;
     }
   }
-  log_ = log.str();
-  return true;
 }
 
 }  // namespace esd::ir::passes

@@ -5,107 +5,71 @@
 // Every pass therefore preserves two invariants:
 //
 //   1. Coordinate stability. The (function, block, instruction) address of
-//      every surviving instruction is unchanged — execution files record
-//      scheduler switches by step index and happens-before sites by
+//      every instruction is unchanged — execution files record scheduler
+//      switches by step index and happens-before sites by
 //      "func:block:inst" locator, and goals are extracted before
-//      optimization. No pass inserts, removes, or reorders instructions in
-//      code that can execute.
+//      optimization. No pass inserts, removes, or reorders instructions.
 //   2. Trace equality. Any execution of the optimized module performs the
 //      same dynamic instruction sequence (same (func, block, inst) at every
 //      step) as the original. Passes only rewrite *within* instruction
-//      slots: operands fold to the constants they provably equal, condbr
-//      becomes br toward the edge it provably takes, dead arithmetic is
-//      neutralized in place, and only code no execution can reach (dead
-//      blocks, uncalled functions) is emptied.
+//      slots: condbr becomes br toward the edge it provably takes, and dead
+//      arithmetic is neutralized in place.
 //
-// Pipeline order per round: constant folding -> branch elision -> dead-code
-// neutralization (including dead-block emptying) -> goal-directed slicing,
-// repeated to a fixpoint (bounded rounds). The pass manager verifies the
-// module and checks the coordinate invariant between passes; any violation
-// aborts the pipeline and the synthesizer falls back to the original
-// module.
+// The sequence is fixed: branch elision runs once, then dead-arithmetic
+// neutralization repeats until it rewrites nothing. A neutralized result
+// has no users, so it feeds no branch and the two passes reach a joint
+// fixpoint. After every pass that rewrote something, the pass manager runs
+// the verifier and checks that every block kept its size; a failure aborts
+// the pipeline and the synthesizer falls back to the original module.
 #ifndef ESD_SRC_IR_PASSES_PASSES_H_
 #define ESD_SRC_IR_PASSES_PASSES_H_
 
 #include <cstdint>
 #include <set>
-#include <string>
 
 #include "src/ir/module.h"
 
 namespace esd::ir::passes {
 
-// Code the pipeline must keep intact: goal instructions (and any other
-// sites an execution file may reference) plus the functions containing
-// them and known thread roots.
+// Code the pipeline must keep intact: goal instructions and any other
+// sites an execution file may reference.
 struct ProtectedSites {
-  std::set<uint32_t> funcs;  // Never sliced; their blocks never emptied away
-                             // if they hold a protected site.
-  std::set<InstRef> sites;   // Instructions left untouched by every pass.
+  // Functions holding a protected site. No pass reads it; perfbench/main.cc
+  // is the only code that still fills it.
+  std::set<uint32_t> funcs;
+  std::set<InstRef> sites;  // Instructions left untouched by every pass.
 
-  bool IsProtectedFunc(uint32_t f) const { return funcs.count(f) > 0; }
   bool IsProtectedSite(uint32_t f, uint32_t b, uint32_t i) const {
     return sites.count(InstRef{f, b, i}) > 0;
-  }
-  bool HasSiteIn(uint32_t f, uint32_t b) const {
-    auto it = sites.lower_bound(InstRef{f, b, 0});
-    return it != sites.end() && it->func == f && it->block == b;
   }
 };
 
 struct PassStats {
-  uint64_t folded_operands = 0;    // Register operands rewritten to consts.
   uint64_t elided_branches = 0;    // kCondBr rewritten to kBr.
   uint64_t neutralized_insts = 0;  // Dead arithmetic re-pointed at zeros.
-  uint64_t emptied_blocks = 0;     // Unreachable blocks -> [unreachable].
-  uint64_t sliced_funcs = 0;       // Uncalled functions -> stub bodies.
-  uint64_t rounds = 0;             // Pipeline rounds executed.
 
-  uint64_t TotalRewrites() const {
-    return folded_operands + elided_branches + neutralized_insts +
-           emptied_blocks + sliced_funcs;
-  }
+  uint64_t TotalRewrites() const { return elided_branches + neutralized_insts; }
 };
 
-// Blocks/functions whose shape legitimately changed (coordinate-check
-// exemptions). Filled by the passes, consumed by the manager's checker.
-struct ShapeExemptions {
-  std::set<uint32_t> stubbed_funcs;
-  std::set<std::pair<uint32_t, uint32_t>> emptied_blocks;  // (func, block)
-};
-
-// Each pass mutates `m` in place, bumps its PassStats categories, and
+// Each pass mutates `m` in place, bumps its PassStats category, and
 // returns the number of rewrites it performed.
-uint64_t ConstantFoldPass(Module* m, const ProtectedSites& prot,
-                          const ShapeExemptions& exempt, PassStats* stats);
+//
+// Branch elision: a condbr whose condition range is pinned to one boolean,
+// or whose edges agree, becomes a br toward the edge it takes.
 uint64_t BranchElidePass(Module* m, const ProtectedSites& prot,
-                         const ShapeExemptions& exempt, PassStats* stats);
-uint64_t DcePass(Module* m, const ProtectedSites& prot,
-                 ShapeExemptions* exempt, PassStats* stats);
-uint64_t SlicePass(Module* m, const ProtectedSites& prot,
-                   ShapeExemptions* exempt, PassStats* stats);
-
-struct PassManagerOptions {
-  int max_rounds = 4;         // Fixpoint bound; one round usually suffices.
-  bool verify_between = true; // Run the IR verifier after every pass.
-};
+                         PassStats* stats);
+// Dead-arithmetic neutralization: pure arithmetic whose result has no user
+// gets its operands re-pointed at zeros. One run sees only the uses left
+// before it, so a chain of dead definitions needs one run per link.
+uint64_t DcePass(Module* m, const ProtectedSites& prot, PassStats* stats);
 
 class PassManager {
  public:
-  explicit PassManager(const PassManagerOptions& options = {});
-
   // Runs the pipeline. Returns true on success; false when a verifier or
-  // coordinate-invariant failure aborted it (the module may then be
-  // partially rewritten — callers should discard it and use the original).
-  // `stats` (optional) accumulates rewrite counts; the human-readable
-  // per-pass log is available from log() afterwards (--print-passes).
+  // coordinate-check failure aborted it (the module may then be partially
+  // rewritten — callers should discard it and use the original). `stats`
+  // (optional) accumulates rewrite counts.
   bool Run(Module* m, const ProtectedSites& prot, PassStats* stats = nullptr);
-
-  const std::string& log() const { return log_; }
-
- private:
-  PassManagerOptions options_;
-  std::string log_;
 };
 
 }  // namespace esd::ir::passes

@@ -114,8 +114,9 @@ class Server {
     solver::SharedSolverCache solver_cache;
     vm::FingerprintTable corpus;
     std::mutex mu;  // Guards dist_snapshots.
-    // Keyed by the *search* module digest (ir-opt searches an optimized
-    // copy, which digests differently from the module itself).
+    // Keyed by the *search* module digest: ir-opt searches an optimized
+    // copy, which digests differently from the module itself whenever a
+    // branch was elided or dead arithmetic was neutralized.
     std::map<uint64_t, analysis::DistanceCalculator::Snapshot> dist_snapshots;
     uint64_t module_digest = 0;
   };

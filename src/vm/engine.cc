@@ -27,20 +27,40 @@ void Engine::Unregister(const StatePtr& state) {
   }
 }
 
+uint64_t Engine::DedupKey(const ExecutionState& state) const {
+  uint64_t fp = state.Fingerprint();
+  if (options_.dedup_races == nullptr) {
+    return fp;
+  }
+  return fp ^ FingerprintMix64(options_.dedup_races->FlaggedCount());
+}
+
 bool Engine::AlreadyVisited(const ExecutionState& state) {
   if (options_.visited == nullptr) {
     return false;
   }
-  if (options_.visited->InsertIfAbsent(state.Fingerprint())) {
+  if (options_.visited->InsertIfAbsent(DedupKey(state))) {
     return false;
   }
   ++states_deduped_;
   return true;
 }
 
+void Engine::RestartIfRacesGrew() {
+  size_t flagged = options_.dedup_races->FlaggedCount();
+  if (flagged != races_seen_) {
+    races_seen_ = flagged;
+    AddState(ForkState(*root_));
+  }
+}
+
 void Engine::Start(StatePtr initial) {
   if (options_.visited != nullptr) {
-    options_.visited->InsertIfAbsent(initial->Fingerprint());
+    options_.visited->InsertIfAbsent(DedupKey(*initial));
+  }
+  if (options_.dedup_races != nullptr) {
+    root_ = ForkState(*initial);
+    races_seen_ = options_.dedup_races->FlaggedCount();
   }
   if (Cooperative()) {
     options_.frontier->NoteLocalKeep();
@@ -57,7 +77,7 @@ bool Engine::AddState(StatePtr state) {
   uint64_t fp = 0;
   bool have_fp = false;
   if (options_.visited != nullptr) {
-    fp = state->Fingerprint();
+    fp = DedupKey(*state);
     have_fp = true;
     if (!options_.visited->InsertIfAbsent(fp)) {
       ++states_deduped_;
@@ -65,10 +85,10 @@ bool Engine::AddState(StatePtr state) {
     }
   }
   if (Cooperative()) {
-    // Ownership hashing: the fork's fingerprint names its home worker, so
-    // each interleaving class lands on one worker's frontier. The
-    // fingerprint was recorded in the shared table above (when dedup is
-    // on), so the receiver adopts it without re-probing.
+    // Ownership hashing: the fork's dedup key (its fingerprint when dedup
+    // is off) names its home worker, so each interleaving class lands on
+    // one worker's frontier. The key was recorded in the shared table above
+    // (when dedup is on), so the receiver adopts it without re-probing.
     if (!have_fp) {
       fp = state->Fingerprint();
     }
@@ -236,6 +256,11 @@ Engine::Result Engine::Run(const BugMatcher& matcher) {
     StepResult step = interpreter_->Step(*state);
     ++instructions;
     ++unflushed;
+    if (options_.dedup_races != nullptr) {
+      // Before `state` can finish: while it is in flight, no cooperative
+      // peer can see the frontier drained ahead of the restart.
+      RestartIfRacesGrew();
+    }
     for (StatePtr& fork : step.forks) {
       AddState(std::move(fork));
     }

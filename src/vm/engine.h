@@ -16,6 +16,7 @@
 
 #include "src/vm/fingerprint.h"
 #include "src/vm/interpreter.h"
+#include "src/vm/race_detector.h"
 #include "src/vm/searcher.h"
 #include "src/vm/work_queue.h"
 
@@ -51,6 +52,16 @@ class Engine : public EngineServices {
     // table may be private to this engine or shared by a portfolio (it is
     // internally sharded + locked). Null disables deduplication.
     FingerprintTable* visited = nullptr;
+    // When set, the detector's flagged-site count is mixed into every key
+    // the visited table records. Those sites decide where the race strategy
+    // forks but are not in the fingerprint, so a state recorded under fewer
+    // flagged sites must not prune one that arrives under more. States that
+    // ran past a site before it was flagged never forked there, so when the
+    // count grows the engine also restarts from the initial state; the
+    // table admits one restart per count, whichever worker saw it first. A
+    // parallel portfolio sets it to the detector its workers share
+    // (portfolio.cc).
+    const RaceDetector* dedup_races = nullptr;
     // ---- Cooperative work-stealing frontier (src/vm/work_queue.h) ----
     // When set, this engine is worker `worker` of `workers` cooperative
     // peers draining one logical frontier: a newly registered fork whose
@@ -103,9 +114,15 @@ class Engine : public EngineServices {
  private:
   void Register(const StatePtr& state);
   void Unregister(const StatePtr& state);
-  // True if `state`'s fingerprint was already visited (dedup enabled only);
-  // records the fingerprint otherwise.
+  // The key the visited table records for `state`: its fingerprint, mixed
+  // with the flagged-site count of Options::dedup_races when set.
+  uint64_t DedupKey(const ExecutionState& state) const;
+  // True if `state`'s dedup key was already visited (dedup enabled only);
+  // records the key otherwise.
   bool AlreadyVisited(const ExecutionState& state);
+  // Options::dedup_races only: adds a fork of the initial state if the
+  // flagged-site count grew since the last call.
+  void RestartIfRacesGrew();
   // Cooperative mode only: true when this engine participates in a shared
   // frontier (jobs > 1 with --cooperative).
   bool Cooperative() const {
@@ -123,6 +140,10 @@ class Engine : public EngineServices {
   BugCallback unexpected_cb_;
   uint64_t states_created_ = 0;
   uint64_t states_deduped_ = 0;
+  // Options::dedup_races only: an unexecuted copy of the initial state, and
+  // the flagged-site count when this engine last restarted from it.
+  StatePtr root_;
+  size_t races_seen_ = 0;
 };
 
 // Runs a single state to completion without a searcher (concrete stress runs

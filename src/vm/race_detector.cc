@@ -35,7 +35,11 @@ std::set<uint64_t> RaceDetector::HeldLocksForAccess(const ExecutionState& state,
 std::optional<RaceReport> RaceDetector::OnAccess(uint64_t addr, uint32_t tid,
                                                  bool is_write, ir::InstRef site,
                                                  const std::set<uint64_t>& held_locks) {
+  std::lock_guard<std::mutex> lock(mu_);
   WordInfo& w = words_[addr];
+  if (w.reported) {
+    return std::nullopt;  // Nothing below can flag a site for it again.
+  }
   switch (w.st) {
     case WordState::kVirgin:
       w.st = WordState::kExclusive;
@@ -70,11 +74,15 @@ std::optional<RaceReport> RaceDetector::OnAccess(uint64_t addr, uint32_t tid,
     w.reported = true;
     flagged_sites_.insert(prev_site);
     flagged_sites_.insert(site);
-    RaceReport report{addr, prev_site, site, is_write};
-    races_.push_back(report);
-    return report;
+    flagged_count_.store(flagged_sites_.size(), std::memory_order_release);
+    return RaceReport{addr, prev_site, site, is_write};
   }
   return std::nullopt;
+}
+
+std::set<ir::InstRef> RaceDetector::FlaggedSites() const {
+  std::lock_guard<std::mutex> lock(mu_);
+  return flagged_sites_;
 }
 
 }  // namespace esd::vm

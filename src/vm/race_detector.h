@@ -6,14 +6,19 @@
 // a potential (harmful) data race; the race schedule strategy then inserts
 // preemption points at those sites. Because ESD drives the detector from
 // symbolic execution, it observes many paths, not just one workload (§4.2).
+//
+// One detector may serve several threads: a parallel portfolio shares it
+// among the workers that share a fingerprint table (see portfolio.cc), so
+// the flagged-site set is guarded by a mutex and only ever grows.
 #ifndef ESD_SRC_VM_RACE_DETECTOR_H_
 #define ESD_SRC_VM_RACE_DETECTOR_H_
 
+#include <atomic>
 #include <cstdint>
 #include <map>
+#include <mutex>
 #include <optional>
 #include <set>
-#include <vector>
 
 #include "src/ir/instruction.h"
 #include "src/vm/state.h"
@@ -36,8 +41,11 @@ class RaceDetector {
                                      const std::set<uint64_t>& held_locks);
 
   // Sites flagged as potential races (preemption points for the strategy).
-  const std::set<ir::InstRef>& FlaggedSites() const { return flagged_sites_; }
-  const std::vector<RaceReport>& Races() const { return races_; }
+  // A copy: other threads may flag more sites at any time.
+  std::set<ir::InstRef> FlaggedSites() const;
+  // The size of the flagged-site set. The set only grows, so a reader whose
+  // copy has this many sites holds the current set.
+  size_t FlaggedCount() const { return flagged_count_.load(std::memory_order_acquire); }
 
   // Computes the lock addresses held by `tid` in `state`: mutexes plus
   // write-held rwlocks (both exclude every conflicting access).
@@ -63,9 +71,10 @@ class RaceDetector {
     bool reported = false;
   };
 
+  mutable std::mutex mu_;
   std::map<uint64_t, WordInfo> words_;
   std::set<ir::InstRef> flagged_sites_;
-  std::vector<RaceReport> races_;
+  std::atomic<size_t> flagged_count_{0};
 };
 
 }  // namespace esd::vm

@@ -9,6 +9,7 @@
 #include <cstdio>
 #include <fstream>
 #include <string>
+#include <utility>
 #include <sys/wait.h>
 
 namespace {
@@ -63,14 +64,15 @@ void WriteTo(const std::string& path, const std::string& content) {
 }
 
 // Asserts the negative-path contract: nonzero exit (but a clean exit, not
-// a signal), exactly one diagnostic line.
-void ExpectOneLineFailure(const std::string& command) {
+// a signal), exactly one diagnostic line. Returns the run for further checks.
+RunResult ExpectOneLineFailure(const std::string& command) {
   RunResult r = RunCommand(command);
   EXPECT_GT(r.exit_code, 0) << command;
   EXPECT_LT(r.exit_code, 128) << command << " died on a signal";
   EXPECT_EQ(LineCount(r.stderr_text), 1u)
       << command << "\nstderr was:\n" << r.stderr_text;
   EXPECT_NE(r.stderr_text.find("error"), std::string::npos) << command;
+  return r;
 }
 
 class CliNegativeTest : public ::testing::Test {
@@ -144,6 +146,63 @@ TEST_F(CliNegativeTest, MalformedSyncSurfaceRecordsAreOneLineErrors) {
     WriteTo(path, bad.body);
     ExpectOneLineFailure(Tool("esdplay") + " " + program_ + " " + path);
   }
+}
+
+TEST_F(CliNegativeTest, MalformedNumericFlagsAreOneLineErrors) {
+  // A real program, report, manifest and execution file, so that a value
+  // read only in part (or read as zero) would run rather than fail on its
+  // inputs: only the flag check can make these commands exit 2.
+  ASSERT_EQ(RunCommand(Tool("esdfuzz") + " --emit-corpus " + dir_ +
+                       " --seeds 1 --seed-base 1")
+                .exit_code,
+            0);
+  const std::string prog = dir_ + "/seed1.esd";
+  const std::string core = dir_ + "/seed1.core";
+  const std::string exec = dir_ + "/seed1.esdx";
+  ASSERT_EQ(RunCommand(Tool("esdsynth") + " " + prog + " " + core + " -o " +
+                       exec)
+                .exit_code,
+            0);
+  const std::string out = dir_ + "/bad_flag.esdx";
+  const std::string dump = dir_ + "/bad_flag.core";
+  std::remove(out.c_str());
+  std::remove(dump.c_str());
+  const std::string synth =
+      Tool("esdsynth") + " " + prog + " " + core + " -o " + out;
+  const std::string run = Tool("esdrun") + " " + prog + " --dump " + dump;
+  const std::string served =
+      Tool("esdserved") + " --once " + dir_ + "/corpus.jobs";
+  const std::pair<std::string, std::string> kBad[] = {
+      {Tool("esdfuzz") + " --seeds abc", "--seeds"},
+      {Tool("esdfuzz") + " --seeds 1 --seed-base 1x", "--seed-base"},
+      {Tool("esdfuzz") + " --seeds 1 --jobs 2x", "--jobs"},
+      {Tool("esdfuzz") + " --seeds 1 --time-cap abc", "--time-cap"},
+      {synth + " --time-cap abc", "--time-cap"},
+      {synth + " --time-cap -3", "--time-cap"},
+      {synth + " --time-cap inf", "--time-cap"},
+      {synth + " --seed 12abc", "--seed"},
+      {synth + " --seed -1", "--seed"},
+      {Tool("esdplay") + " " + prog + " " + exec + " --max-steps 10x",
+       "--max-steps"},
+      {run + " --seed 12abc", "--seed"},
+      {run + " --input x=4z", "--input x"},
+      {run + " --max-steps 5k", "--max-steps"},
+      {Tool("esdcheck") + " " + prog + " --time-cap abc", "--time-cap"},
+      {served + " --jobs 2x", "--jobs"},
+      {served + " --threads 1x", "--threads"},
+      {served + " --time-cap abc", "--time-cap"},
+      // 2^44 MiB is 2^64 bytes: it used to wrap around to a zero budget.
+      {served + " --solver-cache-mb 17592186044416", "--solver-cache-mb"},
+  };
+  for (const auto& [command, flag] : kBad) {
+    RunResult r = ExpectOneLineFailure(command);
+    EXPECT_EQ(r.exit_code, 2) << command;
+    EXPECT_NE(r.stderr_text.find("error: " + flag + " must be"),
+              std::string::npos)
+        << command << "\nstderr was:\n" << r.stderr_text;
+  }
+  EXPECT_FALSE(FileExists(out));
+  EXPECT_FALSE(FileExists(dump));
 }
 
 TEST_F(CliNegativeTest, EsdfuzzRejectsUnknownKind) {

@@ -1,10 +1,11 @@
 // Directed unit tests for the pre-synthesis IR pass pipeline
-// (src/ir/passes): per-pass rewrite behavior, the protections that keep
-// goal sites and escaping definitions intact, and the pass manager's
-// verifier / coordinate-stability checks.
+// (src/ir/passes): per-pass rewrite behavior, the protection that keeps
+// goal sites intact, and the pass manager's fixed sequence and
+// coordinate-stability check.
 #include <gtest/gtest.h>
 
 #include <string>
+#include <vector>
 
 #include "src/analysis/cfg.h"
 #include "src/analysis/range_analysis.h"
@@ -50,51 +51,6 @@ entry:
   EXPECT_TRUE(analysis::IsFullInterval(ranges.RegRange(3, 0, 4), 64));
 }
 
-TEST(ConstantFoldTest, RewritesProvenOperands) {
-  Module m = Parse(R"(
-func @f() : i32 {
-entry:
-  %a = add i32 2, i32 3
-  %b = mul %a, i32 4
-  ret %b
-}
-)");
-  uint32_t f = *m.FindFunction("f");
-  ProtectedSites prot;
-  ShapeExemptions exempt;
-  PassStats stats;
-  uint64_t n = ConstantFoldPass(&m, prot, exempt, &stats);
-  EXPECT_GE(n, 2u);  // %a in the mul, %b in the ret.
-  const Instruction& mul = m.Func(f).blocks[0].insts[1];
-  ASSERT_EQ(mul.operands[0].kind, Value::Kind::kConst);
-  EXPECT_EQ(mul.operands[0].imm, 5u);
-  const Instruction& ret = m.Func(f).blocks[0].insts[2];
-  ASSERT_EQ(ret.operands[0].kind, Value::Kind::kConst);
-  EXPECT_EQ(ret.operands[0].imm, 20u);
-  // The defining instructions themselves still occupy their slots.
-  EXPECT_EQ(m.Func(f).blocks[0].insts.size(), 3u);
-  EXPECT_TRUE(Verify(m).empty());
-}
-
-TEST(ConstantFoldTest, ProtectedSitesAreUntouched) {
-  Module m = Parse(R"(
-func @f() : i32 {
-entry:
-  %a = add i32 2, i32 3
-  %b = mul %a, i32 4
-  ret %b
-}
-)");
-  uint32_t f = *m.FindFunction("f");
-  ProtectedSites prot;
-  prot.funcs.insert(f);
-  prot.sites.insert(InstRef{f, 0, 1});  // The mul is a goal site.
-  ShapeExemptions exempt;
-  PassStats stats;
-  ConstantFoldPass(&m, prot, exempt, &stats);
-  EXPECT_EQ(m.Func(f).blocks[0].insts[1].operands[0].kind, Value::Kind::kReg);
-}
-
 TEST(BranchElideTest, PinnedConditionBecomesBr) {
   Module m = Parse(R"(
 global $g = zero 4
@@ -113,10 +69,8 @@ dead2:
 }
 )");
   uint32_t f = *m.FindFunction("f");
-  ProtectedSites prot;
-  ShapeExemptions exempt;
   PassStats stats;
-  uint64_t n = BranchElidePass(&m, prot, exempt, &stats);
+  uint64_t n = BranchElidePass(&m, ProtectedSites{}, &stats);
   EXPECT_EQ(n, 1u);
   const Instruction& term = m.Func(f).blocks[0].insts[1];
   EXPECT_EQ(term.op, Opcode::kBr);
@@ -126,6 +80,31 @@ dead2:
   // unknown (the pass is range-driven, not reachability-driven).
   EXPECT_EQ(m.Func(f).blocks[2].insts.back().op, Opcode::kCondBr);
   EXPECT_TRUE(Verify(m).empty());
+}
+
+TEST(BranchElideTest, ProtectedBranchIsKept) {
+  // The same pinned condbr as above, but it is a goal site: an execution
+  // file may name it, so it must stay a condbr.
+  Module m = Parse(R"(
+func @f() : i32 {
+entry:
+  %c = icmp eq i32 1, i32 1
+  condbr %c, taken, other
+taken:
+  ret i32 1
+other:
+  ret i32 0
+}
+)");
+  uint32_t f = *m.FindFunction("f");
+  ProtectedSites prot;
+  prot.sites.insert(InstRef{f, 0, 1});
+  PassStats stats;
+  EXPECT_EQ(BranchElidePass(&m, prot, &stats), 0u);
+  EXPECT_EQ(stats.elided_branches, 0u);
+  const Instruction& term = m.Func(f).blocks[0].insts[1];
+  EXPECT_EQ(term.op, Opcode::kCondBr);
+  EXPECT_EQ(term.operands.size(), 1u);
 }
 
 TEST(DceTest, NeutralizesDeadArithmeticInPlace) {
@@ -141,9 +120,8 @@ entry:
 )");
   uint32_t f = *m.FindFunction("f");
   ProtectedSites prot;
-  ShapeExemptions exempt;
   PassStats stats;
-  uint64_t n = DcePass(&m, prot, &exempt, &stats);
+  uint64_t n = DcePass(&m, prot, &stats);
   EXPECT_EQ(stats.neutralized_insts, 1u);
   EXPECT_EQ(n, 1u);
   const Instruction& dead = m.Func(f).blocks[0].insts[1];
@@ -155,123 +133,11 @@ entry:
   EXPECT_TRUE(Verify(m).empty());
   // Idempotent: a second run finds nothing new (convergence for the
   // pass-manager fixpoint).
-  EXPECT_EQ(DcePass(&m, prot, &exempt, &stats), 0u);
-}
-
-TEST(DceTest, EmptiesUnreachableBlocks) {
-  Module m = Parse(R"(
-func @f() : i32 {
-entry:
-  br out
-orphan:
-  %x = add i32 1, i32 2
-  br out
-out:
-  ret i32 0
-}
-)");
-  uint32_t f = *m.FindFunction("f");
-  ProtectedSites prot;
-  ShapeExemptions exempt;
-  PassStats stats;
-  DcePass(&m, prot, &exempt, &stats);
-  EXPECT_EQ(stats.emptied_blocks, 1u);
-  const BasicBlock& orphan = m.Func(f).blocks[1];
-  ASSERT_EQ(orphan.insts.size(), 1u);
-  EXPECT_EQ(orphan.insts[0].op, Opcode::kUnreachable);
-  EXPECT_EQ(exempt.emptied_blocks.count({f, 1u}), 1u);
-  EXPECT_TRUE(Verify(m).empty());
-}
-
-TEST(DceTest, KeepsDeadBlocksWhoseDefsEscape) {
-  // 'orphan' is unreachable but defines %x, which a LIVE instruction in
-  // 'out' names (%y is returned, so it survives neutralization): emptying
-  // orphan would leave a textually undefined register.
-  Module m = Parse(R"(
-func @f() : i32 {
-entry:
-  br out
-orphan:
-  %x = add i32 1, i32 2
-  br out
-out:
-  %y = add %x, i32 1
-  ret %y
-}
-)");
-  uint32_t f = *m.FindFunction("f");
-  ProtectedSites prot;
-  ShapeExemptions exempt;
-  PassStats stats;
-  DcePass(&m, prot, &exempt, &stats);
-  EXPECT_EQ(stats.emptied_blocks, 0u);
-  EXPECT_EQ(m.Func(f).blocks[1].insts.size(), 2u);
-  EXPECT_TRUE(Verify(m).empty());
-}
-
-TEST(SliceTest, StubsUncalledFunctions) {
-  Module m = Parse(R"(
-func @orphan() : i32 {
-entry:
-  %a = add i32 1, i32 2
-  %b = add %a, i32 3
-  ret %b
-}
-func @worker(%p: ptr) : void {
-entry:
-  ret
-}
-func @main() : i32 {
-entry:
-  %t = call @thread_create(@worker, null)
-  call @thread_join(%t)
-  ret i32 0
-}
-)");
-  uint32_t orphan = *m.FindFunction("orphan");
-  uint32_t worker = *m.FindFunction("worker");
-  ProtectedSites prot;
-  ShapeExemptions exempt;
-  PassStats stats;
-  uint64_t n = SlicePass(&m, prot, &exempt, &stats);
-  EXPECT_EQ(n, 1u);
-  ASSERT_EQ(m.Func(orphan).blocks.size(), 1u);
-  ASSERT_EQ(m.Func(orphan).blocks[0].insts.size(), 1u);
-  EXPECT_EQ(m.Func(orphan).blocks[0].insts[0].op, Opcode::kUnreachable);
-  EXPECT_EQ(exempt.stubbed_funcs.count(orphan), 1u);
-  // The thread entry is address-taken from main: kept.
-  EXPECT_EQ(m.Func(worker).blocks[0].insts[0].op, Opcode::kRet);
-  EXPECT_TRUE(Verify(m).empty());
-}
-
-TEST(SliceTest, ProtectedFunctionsSurvive) {
-  Module m = Parse(R"(
-func @goal_holder() : void {
-entry:
-  %a = add i32 1, i32 1
-  ret
-}
-func @main() : i32 {
-entry:
-  ret i32 0
-}
-)");
-  uint32_t goal = *m.FindFunction("goal_holder");
-  ProtectedSites prot;
-  prot.funcs.insert(goal);
-  ShapeExemptions exempt;
-  PassStats stats;
-  EXPECT_EQ(SlicePass(&m, prot, &exempt, &stats), 0u);
-  EXPECT_EQ(m.Func(goal).blocks[0].insts.size(), 2u);
+  EXPECT_EQ(DcePass(&m, prot, &stats), 0u);
 }
 
 TEST(PassManagerTest, PipelineConvergesAndPreservesCoordinates) {
   Module m = Parse(R"(
-global $g = zero 4
-func @orphan() : void {
-entry:
-  ret
-}
 func @f(%x: i32) : i32 {
 entry:
   %five = add i32 2, i32 3
@@ -291,28 +157,31 @@ entry:
 }
 )");
   uint32_t f = *m.FindFunction("f");
-  // Snapshot the reachable shape to assert coordinate stability by hand.
-  size_t entry_insts = m.Func(f).blocks[0].insts.size();
+  std::vector<size_t> sizes;
+  for (const BasicBlock& bb : m.Func(f).blocks) {
+    sizes.push_back(bb.insts.size());
+  }
   EventCounters counters;
-  uint64_t passes_run;
+  PassStats stats;
   {
     ScopedEventCounters scope(&counters);
-    PassManager pm;
-    PassStats stats;
-    ASSERT_TRUE(pm.Run(&m, ProtectedSites{}, &stats));
-    EXPECT_GE(stats.folded_operands, 1u);  // %five uses fold to 5.
-    EXPECT_EQ(stats.elided_branches, 1u);  // The pinned condbr.
-    EXPECT_EQ(stats.emptied_blocks, 1u);   // 'no' becomes unreachable.
-    EXPECT_EQ(stats.sliced_funcs, 1u);     // @orphan.
-    EXPECT_GE(stats.rounds, 2u);           // Elide -> next round empties.
-    EXPECT_FALSE(pm.log().empty());
-    passes_run = counters.ir_passes_run;
+    ASSERT_TRUE(PassManager().Run(&m, ProtectedSites{}, &stats));
   }
-  EXPECT_GE(passes_run, 8u);  // 4 passes x >= 2 rounds.
-  // Reachable code kept every instruction slot.
-  EXPECT_EQ(m.Func(f).blocks[0].insts.size(), entry_insts);
+  EXPECT_EQ(stats.elided_branches, 1u);  // The pinned condbr.
+  // Elision left %c without a user, so it is neutralized.
+  const Instruction& icmp = m.Func(f).blocks[0].insts[1];
+  EXPECT_EQ(stats.neutralized_insts, 1u);
+  ASSERT_EQ(icmp.operands[0].kind, Value::Kind::kConst);
+  EXPECT_EQ(icmp.operands[0].imm, 0u);
+  // One elision run, then neutralization runs until one rewrites nothing:
+  // here one that neutralizes %c and one that finds nothing left.
+  EXPECT_EQ(counters.ir_passes_run, 1u + 2u);
+  // Every block kept every instruction slot.
+  for (uint32_t b = 0; b < sizes.size(); ++b) {
+    EXPECT_EQ(m.Func(f).blocks[b].insts.size(), sizes[b]) << "block " << b;
+  }
   EXPECT_EQ(m.Func(f).blocks[0].insts.back().op, Opcode::kBr);
-  EXPECT_EQ(m.Func(f).blocks[1].insts.size(), 2u);  // 'yes' intact.
+  EXPECT_EQ(m.Func(f).blocks[1].insts[0].operands[1].kind, Value::Kind::kReg);
   EXPECT_TRUE(Verify(m).empty());
   // The optimized module still prints and re-parses.
   Module reparsed;
@@ -320,7 +189,32 @@ entry:
   EXPECT_TRUE(r.ok) << r.error;
 }
 
-TEST(PassManagerTest, GoalSitesAnchorTheirFunctions) {
+TEST(PassManagerTest, NeutralizesDeadChainInOneRun) {
+  // %c has no user; neutralizing it leaves %b without one, and then %a.
+  Module m = Parse(R"(
+global $in = zero 4
+func @f() : i32 {
+entry:
+  %v = load i32, $in
+  %a = add %v, i32 1
+  %b = mul %a, i32 3
+  %c = xor %b, i32 5
+  ret i32 0
+}
+)");
+  uint32_t f = *m.FindFunction("f");
+  PassStats stats;
+  ASSERT_TRUE(PassManager().Run(&m, ProtectedSites{}, &stats));
+  EXPECT_EQ(stats.neutralized_insts, 3u);
+  for (uint32_t i = 1; i <= 3; ++i) {
+    const Instruction& inst = m.Func(f).blocks[0].insts[i];
+    EXPECT_EQ(inst.operands[0].kind, Value::Kind::kConst) << "inst " << i;
+    EXPECT_EQ(inst.operands[0].imm, 0u) << "inst " << i;
+  }
+  EXPECT_TRUE(Verify(m).empty());
+}
+
+TEST(PassManagerTest, ProtectedDeadSiteKeepsItsOperands) {
   Module m = Parse(R"(
 func @goal_fn() : void {
 entry:
@@ -334,14 +228,15 @@ entry:
 )");
   uint32_t goal_fn = *m.FindFunction("goal_fn");
   ProtectedSites prot;
-  prot.funcs.insert(goal_fn);
   prot.sites.insert(InstRef{goal_fn, 0, 0});
-  PassManager pm;
   PassStats stats;
-  ASSERT_TRUE(pm.Run(&m, prot, &stats));
-  // Not sliced, not neutralized: the goal site still names its operands.
-  ASSERT_EQ(m.Func(goal_fn).blocks[0].insts.size(), 2u);
-  EXPECT_EQ(stats.sliced_funcs, 0u);
+  ASSERT_TRUE(PassManager().Run(&m, prot, &stats));
+  // %a is dead, but the goal site still names its operands.
+  EXPECT_EQ(stats.neutralized_insts, 0u);
+  const Instruction& add = m.Func(goal_fn).blocks[0].insts[0];
+  ASSERT_EQ(add.operands.size(), 2u);
+  EXPECT_EQ(add.operands[0].imm, 1u);
+  EXPECT_EQ(add.operands[1].imm, 1u);
 }
 
 }  // namespace

@@ -1,18 +1,26 @@
 // Tests for the redundant-interleaving pruning layer: the execution-state
 // fingerprint (state dedup), sleep-set recording/wakeup, the engine's
-// visited-table integration, and the determinism guarantee that `--jobs 1`
-// synthesis is bit-reproducible run to run.
+// visited-table integration (including keys that carry the flagged race
+// sites), and the determinism guarantee that `--jobs 1` synthesis is
+// bit-reproducible run to run.
 #include <gtest/gtest.h>
 
+#include <functional>
 #include <map>
 #include <string>
+#include <vector>
 
+#include "src/core/goal.h"
+#include "src/core/race_strategy.h"
 #include "src/core/synthesizer.h"
 #include "src/fuzz/generator.h"
 #include "src/replay/replayer.h"
+#include "src/solver/solver.h"
 #include "src/vm/engine.h"
 #include "src/vm/fingerprint.h"
 #include "src/vm/interpreter.h"
+#include "src/vm/race_detector.h"
+#include "src/vm/searcher.h"
 #include "src/vm/state.h"
 #include "src/workloads/trigger.h"
 #include "src/workloads/workloads.h"
@@ -436,6 +444,118 @@ TEST(Pruning, PortfolioSharedAndPrivateTablesBothWork) {
         replay::Replay(*w.module, result.file, replay::ReplayMode::kStrict);
     EXPECT_TRUE(r.bug_reproduced);
   }
+}
+
+// ---- Race sites and the shared visited table --------------------------------
+//
+// The race strategy forks only at sites the lockset detector has flagged,
+// and those sites are not in a state's fingerprint. A parallel portfolio
+// shares one detector among the workers that share a visited table and
+// sets Engine::Options::dedup_races to it. These tests run one engine over
+// the lost-update workload and flag the race from outside the search, the
+// way a peer worker would.
+
+// The racy counter's @bump load and store, flagged as racing: thread 1
+// reads the counter, then thread 2 writes it, neither holding a lock.
+void FlagBumpRace(const ir::Module& module, vm::RaceDetector* races) {
+  uint32_t bump = *module.FindFunction("bump");
+  std::vector<ir::InstRef> sites;
+  const ir::Function& fn = module.Func(bump);
+  for (uint32_t b = 0; b < fn.blocks.size(); ++b) {
+    for (uint32_t i = 0; i < fn.blocks[b].insts.size(); ++i) {
+      ir::Opcode op = fn.blocks[b].insts[i].op;
+      if (op == ir::Opcode::kLoad || op == ir::Opcode::kStore) {
+        sites.push_back(ir::InstRef{bump, b, i});
+      }
+    }
+  }
+  ASSERT_EQ(sites.size(), 2u);
+  races->OnAccess(0x1000, 1, /*is_write=*/false, sites[0], {});
+  ASSERT_TRUE(races->OnAccess(0x1000, 2, /*is_write=*/true, sites[1], {}));
+}
+
+// Depth-first, and runs `flag` on its `flag_at`-th selection (never if 0).
+class FlaggingDfs : public vm::DfsSearcher {
+ public:
+  FlaggingDfs(std::function<void()> flag, uint64_t flag_at)
+      : flag_(std::move(flag)), flag_at_(flag_at) {}
+  vm::StatePtr Select() override {
+    if (++selects_ == flag_at_) {
+      flag_();
+    }
+    return DfsSearcher::Select();
+  }
+  uint64_t selects() const { return selects_; }
+
+ private:
+  std::function<void()> flag_;
+  uint64_t flag_at_;
+  uint64_t selects_ = 0;
+};
+
+// One engine over the racy counter under the race strategy, keying `visited`
+// with `races`. The engine's own accesses do not feed `races`: only the test
+// flags sites.
+vm::Engine::Result SearchRacyCounter(const ir::Module& module,
+                                     vm::RaceDetector* races,
+                                     vm::FingerprintTable* visited,
+                                     vm::Searcher* searcher) {
+  core::Goal goal = core::ExtractGoal(module, workloads::AssertSiteDump(module));
+  solver::ConstraintSolver solver;
+  core::RaceStrategy policy(goal, races);
+  vm::Interpreter::Options iopts;
+  iopts.policy = &policy;
+  vm::Interpreter interpreter(&module, &solver, iopts);
+  vm::Engine::Options eopts;
+  eopts.visited = visited;
+  eopts.dedup_races = races;
+  vm::Engine engine(&interpreter, searcher, eopts);
+  engine.Start(interpreter.MakeInitialState(*module.FindFunction("main"),
+                                            interpreter.AllocStateId()));
+  return engine.Run([&goal](const vm::ExecutionState& state, const vm::BugInfo& bug) {
+    return core::GoalMatches(goal, state, bug);
+  });
+}
+
+TEST(RaceKeyedDedup, StatesRecordedBeforeAFlagDoNotPruneLaterOnes) {
+  auto module = workloads::RacyCounterModule();
+  vm::RaceDetector races;
+  vm::FingerprintTable visited;
+  // Before the race is flagged no access is a preemption point, the two
+  // increments never interleave, and the search exhausts, recording every
+  // state it passed.
+  FlaggingDfs before({}, 0);
+  vm::Engine::Result first = SearchRacyCounter(*module, &races, &visited, &before);
+  ASSERT_EQ(first.status, vm::Engine::Result::Status::kExhausted);
+  // After the flag, the same table must not prune the states that can now
+  // fork at the racy accesses.
+  FlagBumpRace(*module, &races);
+  FlaggingDfs after({}, 0);
+  vm::Engine::Result second = SearchRacyCounter(*module, &races, &visited, &after);
+  EXPECT_EQ(second.status, vm::Engine::Result::Status::kGoalFound);
+}
+
+TEST(RaceKeyedDedup, AFlagDuringTheLastStepRestartsTheSearch) {
+  auto module = workloads::RacyCounterModule();
+  // Count the steps of a search that never sees the race.
+  uint64_t steps = 0;
+  {
+    vm::RaceDetector races;
+    vm::FingerprintTable visited;
+    FlaggingDfs count({}, 0);
+    vm::Engine::Result r = SearchRacyCounter(*module, &races, &visited, &count);
+    ASSERT_EQ(r.status, vm::Engine::Result::Status::kExhausted);
+    steps = count.selects();
+  }
+  // The same search, with the race flagged as its last step begins: every
+  // state has run past the racy accesses by then, so only a restart from
+  // the initial state can fork there.
+  vm::RaceDetector races;
+  vm::FingerprintTable visited;
+  FlaggingDfs late([&] { FlagBumpRace(*module, &races); }, steps);
+  vm::Engine::Result r = SearchRacyCounter(*module, &races, &visited, &late);
+  EXPECT_EQ(r.status, vm::Engine::Result::Status::kGoalFound);
+  EXPECT_GT(late.selects(), steps);
 }
 
 // ---- Determinism: `--jobs 1` synthesis is bit-reproducible ------------------

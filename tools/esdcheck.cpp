@@ -6,7 +6,6 @@
 // asking ESD to synthesize an execution that actually deadlocks at the two
 // reported acquisition sites. Warnings ESD cannot realize are reported as
 // probable false positives.
-#include <cstdlib>
 #include <iostream>
 #include <string>
 
@@ -53,7 +52,9 @@ int main(int argc, char** argv) {
   for (int i = 2; i < argc; ++i) {
     std::string arg = argv[i];
     if (arg == "--time-cap" && i + 1 < argc) {
-      options.time_cap_seconds = std::atof(argv[++i]);
+      if (!tools::ParseSeconds(arg, argv[++i], &options.time_cap_seconds)) {
+        return 2;
+      }
     } else if (arg == "--static-only") {
       static_only = true;
     } else {

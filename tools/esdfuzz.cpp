@@ -13,7 +13,6 @@
 // feasibility. Any failing scenario is a real engine (or generator) bug;
 // its self-contained repro is written to --out-dir, delta-debugged to a
 // near-minimal program first when --shrink is given.
-#include <cstdlib>
 #include <iostream>
 #include <string>
 #include <vector>
@@ -96,9 +95,13 @@ int main(int argc, char** argv) {
       Usage(std::cout);
       return 0;
     } else if (arg == "--seeds" && i + 1 < argc) {
-      seeds = std::strtoull(argv[++i], nullptr, 10);
+      if (!tools::ParseUnsigned(arg, argv[++i], &seeds)) {
+        return 2;
+      }
     } else if (arg == "--seed-base" && i + 1 < argc) {
-      seed_base = std::strtoull(argv[++i], nullptr, 10);
+      if (!tools::ParseUnsigned(arg, argv[++i], &seed_base)) {
+        return 2;
+      }
     } else if (arg == "--kind" && i + 1 < argc) {
       kind_arg = argv[++i];
       if (kind_arg != "mixed" && !fuzz::ParseBugKindName(kind_arg).has_value()) {
@@ -109,9 +112,8 @@ int main(int argc, char** argv) {
         return 2;
       }
     } else if (arg == "--jobs" && i + 1 < argc) {
-      oracle.jobs = static_cast<size_t>(std::strtoull(argv[++i], nullptr, 10));
-      if (oracle.jobs == 0 || oracle.jobs > 256) {
-        std::cerr << "error: --jobs must be in [1, 256]\n";
+      if (!tools::ParseUnsigned(arg, argv[++i], &oracle.jobs, 1,
+                                tools::kMaxJobs)) {
         return 2;
       }
     } else if (arg == "--cooperative") {
@@ -119,7 +121,9 @@ int main(int argc, char** argv) {
     } else if (arg == "--race-portfolio") {
       oracle.cooperative = false;
     } else if (arg == "--time-cap" && i + 1 < argc) {
-      oracle.time_cap_seconds = std::atof(argv[++i]);
+      if (!tools::ParseSeconds(arg, argv[++i], &oracle.time_cap_seconds)) {
+        return 2;
+      }
     } else if (arg == "--no-ablations") {
       oracle.check_ablations = false;
     } else if (arg == "--no-ir-opt") {

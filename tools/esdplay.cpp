@@ -6,7 +6,6 @@
 // executed instruction (thread, location, text) — the "step through it in
 // your debugger" experience. With --hb, uses the happens-before schedule
 // instead of the strict serial one.
-#include <cstdlib>
 #include <iostream>
 #include <string>
 
@@ -100,7 +99,9 @@ int main(int argc, char** argv) {
     } else if (arg == "--trace") {
       trace = true;
     } else if (arg == "--max-steps" && i + 1 < argc) {
-      max_steps = std::strtoull(argv[++i], nullptr, 10);
+      if (!tools::ParseUnsigned(arg, argv[++i], &max_steps)) {
+        return 2;
+      }
     } else {
       std::cerr << "error: unknown option or missing argument: '" << arg << "' (try --help)\n";
       return 2;

@@ -6,7 +6,6 @@
 // This is the "end user side" of the paper's workflow: the program runs
 // normally (no tracing, no instrumentation); if it fails, the coredump that
 // a production crash handler would produce is written for esdsynth.
-#include <cstdlib>
 #include <iostream>
 #include <map>
 #include <string>
@@ -67,14 +66,22 @@ int main(int argc, char** argv) {
         std::cerr << "error: --input expects name=value, got '" << kv << "'\n";
         return 2;
       }
-      inputs[kv.substr(0, eq)] = std::strtoull(kv.c_str() + eq + 1, nullptr, 0);
+      std::string name = kv.substr(0, eq);
+      if (!tools::ParseUnsigned(arg + " " + name, kv.c_str() + eq + 1,
+                                &inputs[name], 0, UINT64_MAX, 0)) {
+        return 2;
+      }
       random = false;
     } else if (arg == "--seed" && i + 1 < argc) {
-      seed = std::strtoull(argv[++i], nullptr, 10);
+      if (!tools::ParseUnsigned(arg, argv[++i], &seed)) {
+        return 2;
+      }
     } else if (arg == "--dump" && i + 1 < argc) {
       dump_path = argv[++i];
     } else if (arg == "--max-steps" && i + 1 < argc) {
-      max_steps = std::strtoull(argv[++i], nullptr, 10);
+      if (!tools::ParseUnsigned(arg, argv[++i], &max_steps)) {
+        return 2;
+      }
     } else {
       std::cerr << "error: unknown option or missing argument: '" << arg << "' (try --help)\n";
       return 2;

@@ -21,7 +21,6 @@
 // SIGINT (or end of input with --once) drains the queue, flushes every
 // cache to disk, prints the reuse summary, and exits 0.
 #include <csignal>
-#include <cstdlib>
 #include <iostream>
 #include <mutex>
 #include <sstream>
@@ -81,16 +80,13 @@ int main(int argc, char** argv) {
     } else if (arg == "--cache-dir" && i + 1 < argc) {
       options.cache_dir = argv[++i];
     } else if (arg == "--jobs" && i + 1 < argc) {
-      options.synthesis.jobs =
-          static_cast<size_t>(std::strtoull(argv[++i], nullptr, 10));
-      if (options.synthesis.jobs == 0 || options.synthesis.jobs > 256) {
-        std::cerr << "error: --jobs must be in [1, 256]\n";
+      if (!tools::ParseUnsigned(arg, argv[++i], &options.synthesis.jobs, 1,
+                                tools::kMaxJobs)) {
         return 2;
       }
     } else if (arg == "--threads" && i + 1 < argc) {
-      threads = static_cast<size_t>(std::strtoull(argv[++i], nullptr, 10));
-      if (threads == 0 || threads > 256) {
-        std::cerr << "error: --threads must be in [1, 256]\n";
+      if (!tools::ParseUnsigned(arg, argv[++i], &threads, 1,
+                                tools::kMaxJobs)) {
         return 2;
       }
     } else if (arg == "--once") {
@@ -100,10 +96,17 @@ int main(int argc, char** argv) {
     } else if (arg == "--no-reuse-results") {
       options.reuse_results = false;
     } else if (arg == "--time-cap" && i + 1 < argc) {
-      options.synthesis.time_cap_seconds = std::atof(argv[++i]);
+      if (!tools::ParseSeconds(arg, argv[++i],
+                               &options.synthesis.time_cap_seconds)) {
+        return 2;
+      }
     } else if (arg == "--solver-cache-mb" && i + 1 < argc) {
-      options.solver_cache_bytes =
-          static_cast<size_t>(std::strtoull(argv[++i], nullptr, 10)) << 20;
+      size_t mb = 0;
+      if (!tools::ParseUnsigned(arg, argv[++i], &mb, 0,
+                                std::numeric_limits<size_t>::max() >> 20)) {
+        return 2;
+      }
+      options.solver_cache_bytes = mb << 20;
     } else if (!arg.empty() && arg[0] == '-') {
       std::cerr << "error: unknown option or missing argument: '" << arg
                 << "' (try --help)\n";

@@ -9,11 +9,10 @@
 //            [--no-solver-slice] [--no-solver-range]
 //            [--no-solver-incremental] [--no-solver-pipeline]
 //            [--solver-cache-shared | --solver-cache-private] [--counters]
-//            [--no-ir-opt] [--print-passes]
+//            [--no-ir-opt]
 //
 // Reads the program and the coredump, synthesizes an execution that
 // reproduces the reported bug, and writes the execution file for esdplay.
-#include <cstdlib>
 #include <iostream>
 #include <string>
 
@@ -71,11 +70,9 @@ void Usage(std::ostream& os = std::cerr) {
      << "  --no-solver-pipeline    disable all of the above and the\n"
      << "                          shared solver cache\n"
      << "  --no-ir-opt             search the original module instead of a\n"
-     << "                          pre-optimized copy (constant folding,\n"
-     << "                          branch elision, DCE, goal-directed\n"
-     << "                          slicing; default on)\n"
-     << "  --print-passes          print the per-pass IR pipeline log and\n"
-     << "                          rewrite counts\n"
+     << "                          pre-optimized copy (branch elision, then\n"
+     << "                          dead-arithmetic neutralization; default\n"
+     << "                          on)\n"
      << "  --solver-cache-shared / --solver-cache-private\n"
      << "                          with --jobs N: one solver query cache\n"
      << "                          (stage 2) shared by all workers\n"
@@ -114,19 +111,18 @@ int main(int argc, char** argv) {
     if (arg == "-o" && i + 1 < argc) {
       out_path = argv[++i];
     } else if (arg == "--time-cap" && i + 1 < argc) {
-      options.time_cap_seconds = std::atof(argv[++i]);
-    } else if (arg == "--seed" && i + 1 < argc) {
-      options.seed = std::strtoull(argv[++i], nullptr, 10);
-    } else if (arg == "--jobs" && i + 1 < argc) {
-      const char* text = argv[++i];
-      char* end = nullptr;
-      unsigned long long jobs = std::strtoull(text, &end, 10);
-      if (end == text || *end != '\0' || jobs == 0 || jobs > 256) {
-        std::cerr << "error: --jobs must be an integer in [1, 256], got '"
-                  << text << "'\n";
+      if (!tools::ParseSeconds(arg, argv[++i], &options.time_cap_seconds)) {
         return 2;
       }
-      options.jobs = static_cast<size_t>(jobs);
+    } else if (arg == "--seed" && i + 1 < argc) {
+      if (!tools::ParseUnsigned(arg, argv[++i], &options.seed)) {
+        return 2;
+      }
+    } else if (arg == "--jobs" && i + 1 < argc) {
+      if (!tools::ParseUnsigned(arg, argv[++i], &options.jobs, 1,
+                                tools::kMaxJobs)) {
+        return 2;
+      }
     } else if (arg == "--cooperative") {
       options.cooperative = true;
     } else if (arg == "--race-portfolio") {
@@ -156,8 +152,6 @@ int main(int argc, char** argv) {
       options.solver_cache_shared = false;
     } else if (arg == "--no-ir-opt") {
       options.ir_opt = false;
-    } else if (arg == "--print-passes") {
-      options.print_passes = true;
     } else if (arg == "--solver-cache-shared") {
       options.solver_cache_shared = true;
     } else if (arg == "--solver-cache-private") {
@@ -229,14 +223,9 @@ int main(int argc, char** argv) {
             << ss.range_unsat << " unsat)\n";
   if (options.ir_opt) {
     const auto& ps = result.pass_stats;
-    std::cout << "esdsynth: ir-opt: " << ps.folded_operands << " folds, "
-              << ps.elided_branches << " branch elisions, "
-              << ps.neutralized_insts << " neutralized, "
-              << ps.emptied_blocks << " emptied blocks, " << ps.sliced_funcs
-              << " sliced functions in " << ps.rounds << " rounds\n";
-  }
-  if (options.print_passes && !result.pass_log.empty()) {
-    std::cout << "esdsynth: pass log:\n" << result.pass_log;
+    std::cout << "esdsynth: ir-opt: " << ps.elided_branches
+              << " branch elisions, " << ps.neutralized_insts
+              << " neutralized\n";
   }
   if (print_counters) {
     std::cout << "esdsynth: counters:";
