@@ -1,6 +1,13 @@
 #include "src/serve/persistent_cache.h"
 
+#include <fcntl.h>
+#include <sys/stat.h>
+#include <unistd.h>
+
+#include <cerrno>
+#include <charconv>
 #include <cstdio>
+#include <cstring>
 #include <filesystem>
 #include <fstream>
 #include <sstream>
@@ -9,6 +16,9 @@ namespace esd::serve {
 namespace fs = std::filesystem;
 
 namespace {
+
+constexpr char kJournalName[] = "/results.index";
+constexpr std::string_view kJournalMagic = "esdcache results v1\n";
 
 std::string Hex16(uint64_t v) {
   char buf[32];
@@ -26,7 +36,116 @@ std::optional<std::string> ReadWholeFile(const std::string& path) {
   return os.str();
 }
 
+// Exactly 16 lowercase hex digits, as Hex16 writes them.
+bool ParseHex16(std::string_view s, uint64_t* out) {
+  if (s.size() != 16 ||
+      s.find_first_not_of("0123456789abcdef") != std::string_view::npos) {
+    return false;
+  }
+  std::from_chars(s.data(), s.data() + s.size(), *out, 16);
+  return true;
+}
+
+// A canonical decimal count: no sign, no leading zero, and at most 19
+// digits, so it fits in 64 bits.
+bool ParseCount(std::string_view s, uint64_t* out) {
+  if (s.empty() || s.size() > 19 || (s.size() > 1 && s[0] == '0') ||
+      s.find_first_not_of("0123456789") != std::string_view::npos) {
+    return false;
+  }
+  std::from_chars(s.data(), s.data() + s.size(), *out);
+  return true;
+}
+
+// Splits `line` at single spaces into exactly `n` non-empty fields.
+bool SplitFields(std::string_view line, std::string_view* fields, size_t n) {
+  for (size_t i = 0; i < n; ++i) {
+    const size_t space = line.find(' ');
+    const bool last = i + 1 == n;
+    if ((space == std::string_view::npos) != last) return false;
+    fields[i] = line.substr(0, space);
+    if (fields[i].empty()) return false;
+    if (!last) line.remove_prefix(space + 1);
+  }
+  return true;
+}
+
+// One journal record: header line, execution text, checksum trailer.
+std::string RecordText(const ResultRecord& rec) {
+  std::string out = "result " + Hex16(rec.report_digest) + " " +
+                    Hex16(rec.module_digest) + " " +
+                    (rec.reproduced ? "1 " : "0 ") +
+                    (rec.fingerprint.empty() ? "-" : rec.fingerprint) + " " +
+                    std::to_string(rec.exec_text.size()) + "\n";
+  out += rec.exec_text;
+  out += "end " + Hex16(TextDigest(out)) + "\n";
+  return out;
+}
+
+enum class RecordParse { kOk, kTorn, kMalformed };
+
+// Parses the record that starts at *pos and advances *pos past it. kTorn
+// means the journal ends inside the record.
+RecordParse ParseRecord(std::string_view journal, size_t* pos,
+                        ResultRecord* rec, std::string* error) {
+  const size_t start = *pos;
+  const size_t header_end = journal.find('\n', start);
+  if (header_end == std::string_view::npos) return RecordParse::kTorn;
+  std::string_view header = journal.substr(start, header_end - start);
+  std::string_view fields[6];
+  uint64_t text_bytes = 0;
+  if (!SplitFields(header, fields, 6) || fields[0] != "result" ||
+      !ParseHex16(fields[1], &rec->report_digest) ||
+      !ParseHex16(fields[2], &rec->module_digest) ||
+      (fields[3] != "0" && fields[3] != "1") ||
+      !ParseCount(fields[5], &text_bytes)) {
+    *error = "malformed record header";
+    return RecordParse::kMalformed;
+  }
+  const size_t text_begin = header_end + 1;
+  if (text_bytes > journal.size() - text_begin) return RecordParse::kTorn;
+  const size_t text_end = text_begin + text_bytes;
+  const size_t end_eol = journal.find('\n', text_end);
+  if (end_eol == std::string_view::npos) return RecordParse::kTorn;
+  std::string_view trailer = journal.substr(text_end, end_eol - text_end);
+  uint64_t checksum = 0;
+  if (trailer.substr(0, 4) != "end " ||
+      !ParseHex16(trailer.substr(4), &checksum)) {
+    *error = "malformed end line";
+    return RecordParse::kMalformed;
+  }
+  if (checksum != TextDigest(journal.substr(start, text_end - start))) {
+    *error = "checksum mismatch";
+    return RecordParse::kMalformed;
+  }
+  rec->reproduced = fields[3] == "1";
+  if (fields[4] != "-") rec->fingerprint = std::string(fields[4]);
+  rec->exec_text = std::string(journal.substr(text_begin, text_bytes));
+  *pos = end_eol + 1;
+  return RecordParse::kOk;
+}
+
+// write() until every byte is out; false on the first error.
+bool WriteAll(int fd, std::string_view bytes) {
+  while (!bytes.empty()) {
+    const ssize_t n = ::write(fd, bytes.data(), bytes.size());
+    if (n < 0 && errno == EINTR) continue;
+    if (n <= 0) return false;
+    bytes.remove_prefix(static_cast<size_t>(n));
+  }
+  return true;
+}
+
 }  // namespace
+
+uint64_t TextDigest(std::string_view text) {
+  uint64_t h = 0xcbf29ce484222325ull;
+  for (unsigned char c : text) {
+    h ^= c;
+    h *= 0x100000001b3ull;
+  }
+  return h;
+}
 
 CacheStore::CacheStore(const std::string& dir) : dir_(dir) {
   std::error_code ec;
@@ -37,7 +156,13 @@ CacheStore::CacheStore(const std::string& dir) : dir_(dir) {
     return;
   }
   ok_ = true;
-  LoadIndex();
+  OpenJournal(LoadResults());
+}
+
+CacheStore::~CacheStore() {
+  if (journal_fd_ >= 0) {
+    ::close(journal_fd_);
+  }
 }
 
 std::string CacheStore::PathFor(uint64_t digest, const char* kind) const {
@@ -154,75 +279,95 @@ bool CacheStore::StoreFingerprintCorpus(const FingerprintImage& image) {
                      FingerprintCorpusToText(image));
 }
 
-// results.index line format (strict, whitespace-separated):
-//   result <report-16hex> <module-16hex> <0|1> <fingerprint|-> <exec|->
-void CacheStore::LoadIndex() {
-  const std::string path = dir_ + "/results.index";
+bool CacheStore::LoadResults() {
+  const std::string path = dir_ + kJournalName;
   bool present = false;
   auto text = ReadOrQuarantine(path, &present);
-  if (!text.has_value()) return;
-  std::istringstream is(*text);
-  std::string line;
+  if (!text.has_value() || text->empty()) return false;
+  const std::string_view journal = *text;
+  if (journal.substr(0, kJournalMagic.size()) != kJournalMagic) {
+    Quarantine(path, "first line is not 'esdcache results v1'");
+    return false;
+  }
   std::map<uint64_t, ResultRecord> parsed;
-  size_t line_no = 0;
-  while (std::getline(is, line)) {
-    ++line_no;
-    std::istringstream ls(line);
-    std::string word, report_hex, module_hex, fingerprint, exec_file;
-    int reproduced = 0;
-    ls >> word >> report_hex >> module_hex >> reproduced >> fingerprint >>
-        exec_file;
+  bool compact = false;
+  size_t pos = kJournalMagic.size();
+  for (size_t index = 1; pos < journal.size(); ++index) {
+    const size_t start = pos;
     ResultRecord rec;
-    std::istringstream rs(report_hex), ms(module_hex);
-    std::string extra;
-    if (word != "result" || !(rs >> std::hex >> rec.report_digest) ||
-        !(ms >> std::hex >> rec.module_digest) || fingerprint.empty() ||
-        exec_file.empty() || (ls >> extra)) {
-      Quarantine(path, "malformed index line " + std::to_string(line_no));
-      return;  // All-or-nothing: a torn index is regenerated from scratch.
+    std::string error;
+    const RecordParse status = ParseRecord(journal, &pos, &rec, &error);
+    const auto where = [&] {
+      return "record " + std::to_string(index) + " at byte " +
+             std::to_string(start);
+    };
+    if (status == RecordParse::kMalformed) {
+      Quarantine(path, where() + ": " + error);
+      return false;  // All-or-nothing: only a torn tail is cut off.
     }
-    rec.reproduced = reproduced != 0;
-    if (fingerprint != "-") rec.fingerprint = fingerprint;
-    if (exec_file != "-") rec.exec_file = exec_file;
-    parsed[rec.report_digest] = std::move(rec);
+    if (status == RecordParse::kTorn) {
+      load_errors_.push_back(path + ": " + where() +
+                             " torn by an interrupted append — dropped");
+      compact = true;
+      break;
+    }
+    const uint64_t digest = rec.report_digest;
+    compact = !parsed.insert_or_assign(digest, std::move(rec)).second || compact;
   }
   results_ = std::move(parsed);
+  return compact;
 }
 
-bool CacheStore::WriteIndex() {
-  std::ostringstream os;
-  for (const auto& [digest, rec] : results_) {
-    os << "result " << Hex16(rec.report_digest) << " "
-       << Hex16(rec.module_digest) << " " << (rec.reproduced ? 1 : 0) << " "
-       << (rec.fingerprint.empty() ? "-" : rec.fingerprint) << " "
-       << (rec.exec_file.empty() ? "-" : rec.exec_file) << "\n";
-  }
-  return AtomicWrite(dir_ + "/results.index", os.str());
-}
-
-bool CacheStore::StoreResult(ResultRecord record, const std::string& exec_text) {
-  if (!ok_) return false;
-  if (!exec_text.empty()) {
-    record.exec_file = Hex16(record.report_digest) + ".exec";
-    if (!AtomicWrite(dir_ + "/" + record.exec_file, exec_text)) {
-      return false;
+void CacheStore::OpenJournal(bool compact) {
+  const std::string path = dir_ + kJournalName;
+  if (compact) {
+    std::string text(kJournalMagic);
+    for (const auto& [digest, rec] : results_) {
+      text += RecordText(rec);
+    }
+    if (!AtomicWrite(path, text)) {
+      // Appending after a torn tail would bury it mid-journal.
+      load_errors_.push_back(path +
+                             ": compaction failed — results kept in memory");
+      return;
     }
   }
+  journal_fd_ =
+      ::open(path.c_str(), O_WRONLY | O_APPEND | O_CREAT | O_CLOEXEC, 0644);
+  struct stat st {};
+  if (journal_fd_ < 0 || ::fstat(journal_fd_, &st) != 0) {
+    load_errors_.push_back(path + ": cannot open for appending: " +
+                           std::strerror(errno) +
+                           " — results kept in memory");
+    if (journal_fd_ >= 0) ::close(journal_fd_);
+    journal_fd_ = -1;
+    return;
+  }
+  journal_bytes_ = static_cast<uint64_t>(st.st_size);
+}
+
+bool CacheStore::StoreResult(ResultRecord record) {
+  if (!ok_) return false;
+  std::string text = RecordText(record);
+  if (journal_bytes_ == 0) text.insert(0, kJournalMagic);
   results_[record.report_digest] = std::move(record);
-  return WriteIndex();
+  if (journal_fd_ < 0) return false;
+  if (WriteAll(journal_fd_, text)) {
+    journal_bytes_ += text.size();
+    return true;
+  }
+  // Cut the partial record off; if that fails too, stop appending so a torn
+  // record can only ever be the journal's last.
+  if (::ftruncate(journal_fd_, static_cast<off_t>(journal_bytes_)) != 0) {
+    ::close(journal_fd_);
+    journal_fd_ = -1;
+  }
+  return false;
 }
 
 const ResultRecord* CacheStore::FindResult(uint64_t report_digest) const {
   auto it = results_.find(report_digest);
   return it == results_.end() ? nullptr : &it->second;
-}
-
-std::optional<std::string> CacheStore::LoadExecFile(
-    const ResultRecord& record) const {
-  if (record.exec_file.empty()) {
-    return std::nullopt;
-  }
-  return ReadWholeFile(dir_ + "/" + record.exec_file);
 }
 
 }  // namespace esd::serve

@@ -10,21 +10,6 @@
 #include "src/workloads/workloads.h"
 
 namespace esd::serve {
-namespace {
-
-// FNV-1a over arbitrary text: the report-identity key for results.index.
-// (ir::ModuleDigest is the same construction over the canonical module
-// print, so the two digest spaces behave identically.)
-uint64_t TextDigest(const std::string& text) {
-  uint64_t h = 0xcbf29ce484222325ull;
-  for (unsigned char c : text) {
-    h ^= c;
-    h *= 0x100000001b3ull;
-  }
-  return h;
-}
-
-}  // namespace
 
 Server::Server(ServerOptions options) : options_(std::move(options)) {
   if (!options_.cache_dir.empty()) {
@@ -110,9 +95,7 @@ JobResult Server::Process(const Job& job) {
       out.fingerprint = prior->fingerprint;
       out.source = "cache";
       if (prior->reproduced) {
-        if (auto text = store_->LoadExecFile(*prior)) {
-          out.exec_text = *text;
-        }
+        out.exec_text = std::move(prior->exec_text);
         out.duplicate_bug = true;  // By definition: we synthesized it before.
       }
       std::lock_guard<std::mutex> stats_lock(stats_mu_);
@@ -135,15 +118,8 @@ JobResult Server::Process(const Job& job) {
   std::optional<replay::ExecutionFile> seed;
   if (prior.has_value() && prior->reproduced &&
       prior->module_digest != out.module_digest) {
-    std::optional<std::string> seed_text;
-    {
-      std::lock_guard<std::mutex> lock(store_mu_);
-      seed_text = store_->LoadExecFile(*prior);
-    }
-    if (seed_text.has_value()) {
-      std::string seed_error;
-      seed = replay::ParseExecutionFile(*seed_text, &seed_error);
-    }
+    std::string seed_error;
+    seed = replay::ParseExecutionFile(prior->exec_text, &seed_error);
   }
 
   core::SynthesisOptions sopts = options_.synthesis;
@@ -205,13 +181,14 @@ JobResult Server::Process(const Job& job) {
     out.exec_text = replay::ExecutionFileToText(result.file);
     out.fingerprint = replay::Fingerprint(result.file);
     record.fingerprint = out.fingerprint;
+    record.exec_text = out.exec_text;
     // Corpus triage: identical executions mean the same bug (§8).
     const uint64_t fp = std::strtoull(out.fingerprint.c_str(), nullptr, 16);
     out.duplicate_bug = !ms.corpus.InsertIfAbsent(fp);
   }
   if (store_ != nullptr) {
     std::lock_guard<std::mutex> lock(store_mu_);
-    store_->StoreResult(std::move(record), out.exec_text);
+    store_->StoreResult(std::move(record));
   }
 
   std::lock_guard<std::mutex> stats_lock(stats_mu_);

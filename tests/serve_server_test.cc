@@ -2,12 +2,15 @@
 // affinity/stealing/drain behavior, and the Server's reuse ladder — cold
 // search, stored-verdict short-circuit, warm search over reloaded caches
 // after a "restart", incremental re-synthesis of a patched module seeded by
-// the prior execution, and survival of a corrupted cache file mid-service.
+// the prior execution, survival of a corrupted cache file mid-service, a
+// corrupted stored execution that must not be served, and a verdict that
+// survives a hard kill.
 #include <gtest/gtest.h>
 
 #include <atomic>
 #include <filesystem>
 #include <fstream>
+#include <iterator>
 #include <optional>
 #include <string>
 #include <thread>
@@ -15,6 +18,8 @@
 
 #include "src/fuzz/generator.h"
 #include "src/fuzz/oracle.h"
+#include "src/replay/execution_file.h"
+#include "src/replay/replayer.h"
 #include "src/report/coredump.h"
 #include "src/serve/job_queue.h"
 #include "src/serve/server.h"
@@ -253,6 +258,97 @@ TEST(ServeServerTest, CorruptedCacheFileMidServiceIsQuarantinedNotFatal) {
   JobResult again = reloaded.Process(job);
   ASSERT_TRUE(again.ok);
   EXPECT_TRUE(reloaded.TakeLoadErrors().empty());
+}
+
+// Whether `exec_text` parses and strictly replays the program's planted bug.
+bool StrictlyReplays(const fuzz::GeneratedProgram& program,
+                     const std::string& exec_text) {
+  std::string error;
+  auto file = replay::ParseExecutionFile(exec_text, &error);
+  if (!file.has_value()) {
+    return false;
+  }
+  replay::ReplayResult strict =
+      replay::Replay(*program.module, *file, replay::ReplayMode::kStrict);
+  return strict.bug_reproduced && strict.bug.kind == program.expected_kind;
+}
+
+// A stored execution whose bytes changed on disk must cost a search, never
+// be served: one digit of an input value is flipped in whichever cache file
+// holds the text, and the restarted daemon must answer with an execution
+// that still reproduces the bug, reporting the damage once.
+TEST(ServeServerTest, CorruptedStoredExecutionIsNotServed) {
+  std::string dir = ::testing::TempDir() + "/esd_serve_corrupt_exec_test";
+  std::filesystem::remove_all(dir);
+  fuzz::GeneratedProgram program = Scenario();
+  Job job = MakeJob(1, program);
+  std::string exec_text;
+  {
+    Server server(BaseOptions(dir));
+    JobResult cold = server.Process(job);
+    ASSERT_TRUE(cold.ok && cold.reproduced) << cold.failure_reason;
+    exec_text = cold.exec_text;
+  }
+  ASSERT_TRUE(StrictlyReplays(program, exec_text));
+
+  const size_t input = exec_text.find("\ninput ");
+  ASSERT_NE(input, std::string::npos) << exec_text;
+  const size_t digit = exec_text.find('\n', input + 1) - 1;
+  ASSERT_TRUE(exec_text[digit] >= '0' && exec_text[digit] <= '9');
+  std::string corrupted = exec_text;
+  corrupted[digit] = static_cast<char>('0' + (exec_text[digit] - '0' + 1) % 10);
+  ASSERT_FALSE(StrictlyReplays(program, corrupted));
+
+  bool flipped = false;
+  for (const auto& entry : std::filesystem::directory_iterator(dir)) {
+    std::ifstream in(entry.path(), std::ios::binary);
+    std::string bytes((std::istreambuf_iterator<char>(in)),
+                      std::istreambuf_iterator<char>());
+    const size_t at = bytes.find(exec_text);
+    if (at == std::string::npos) continue;
+    bytes[at + digit] = corrupted[digit];
+    std::ofstream out(entry.path(), std::ios::binary | std::ios::trunc);
+    out << bytes;
+    flipped = true;
+    break;
+  }
+  ASSERT_TRUE(flipped);
+
+  Server restarted(BaseOptions(dir));
+  JobResult result = restarted.Process(job);
+  ASSERT_TRUE(result.ok) << result.error;
+  ASSERT_TRUE(result.reproduced) << result.failure_reason;
+  EXPECT_NE(result.source, "cache");
+  EXPECT_TRUE(StrictlyReplays(program, result.exec_text)) << result.exec_text;
+  std::vector<std::string> errors = restarted.TakeLoadErrors();
+  ASSERT_EQ(errors.size(), 1u);
+  EXPECT_NE(errors[0].find("quarantined"), std::string::npos) << errors[0];
+}
+
+// Each verdict is on disk when Process returns. A copy of the cache
+// directory taken while the Server is still alive — no flush, no destructor:
+// what a SIGKILL leaves — answers the same job from the stored verdict.
+TEST(ServeServerTest, VerdictSurvivesHardKill) {
+  std::string dir = ::testing::TempDir() + "/esd_serve_kill_test";
+  std::string killed = dir + "_copy";
+  std::filesystem::remove_all(dir);
+  std::filesystem::remove_all(killed);
+  fuzz::GeneratedProgram program = Scenario();
+  Job job = MakeJob(1, program);
+
+  Server server(BaseOptions(dir));
+  JobResult cold = server.Process(job);
+  ASSERT_TRUE(cold.ok && cold.reproduced) << cold.failure_reason;
+  std::filesystem::copy(dir, killed, std::filesystem::copy_options::recursive);
+
+  Server restarted(BaseOptions(killed));
+  JobResult cached = restarted.Process(job);
+  ASSERT_TRUE(cached.ok) << cached.error;
+  EXPECT_EQ(cached.source, "cache");
+  EXPECT_TRUE(cached.reproduced);
+  EXPECT_EQ(cached.fingerprint, cold.fingerprint);
+  EXPECT_EQ(cached.exec_text, cold.exec_text);
+  EXPECT_TRUE(restarted.TakeLoadErrors().empty());
 }
 
 }  // namespace
