@@ -1,9 +1,9 @@
 // Strong-scaling benchmark for the portfolio synthesis engine: aggregate
 // exploration throughput (states/sec) and time-to-first-manifestation as
 // the worker count sweeps jobs in {1, 2, 4, 8} (capped by ESD_BENCH_JOBS)
-// over the deadlock and race workloads, in the default cooperative
-// work-stealing mode (all workers drain one logical frontier; children are
-// routed to fingerprint-hashed home workers; idle workers steal).
+// over the deadlock and race workloads (all workers drain one logical
+// work-stealing frontier; children are routed to fingerprint-hashed home
+// workers; idle workers steal).
 //
 // Each (workload, jobs) cell repeats full synthesis and keeps the *best*
 // per-run throughput (states_created / seconds) and the *fastest*
@@ -11,7 +11,7 @@
 // lowers throughput, so the max over repeats is the closest sample of the
 // configuration's true speed — the multi-worker analogue of
 // bench::MeasureTrajectory's fastest-run estimator, which is unusable here
-// because cooperative runs are not state-for-state deterministic. Every
+// because parallel runs are not state-for-state deterministic. Every
 // run's execution file is verified by strict deterministic playback.
 //
 // Emits BENCH_portfolio.json with one record per cell ("listing1@j4"):

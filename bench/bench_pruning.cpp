@@ -9,9 +9,8 @@
 // still counts only if the bug replays. Modes:
 //
 //   off        no pruning (the PR-1 engine)
-//   on         dedup (shared table when jobs > 1) + sleep sets
-//   on-priv    dedup with per-worker tables + sleep sets (jobs > 1 only):
-//              measures the sharded-mutex table against private tables
+//   on         dedup (one table shared by the workers when jobs > 1) +
+//              sleep sets
 //
 // The process exits nonzero if any synthesized execution fails to replay,
 // or if pruning reduces the states explored by less than 30% on the
@@ -127,7 +126,6 @@ skip:
 struct Mode {
   const char* name;
   bool dedup;
-  bool dedup_shared;
   bool sleep_sets;
 };
 
@@ -177,9 +175,8 @@ int main() {
   }
 
   const Mode kModes[] = {
-      {"off", false, true, false},
-      {"on", true, true, true},
-      {"on-priv", true, false, true},
+      {"off", false, false},
+      {"on", true, true},
   };
 
   std::printf("Redundant-interleaving pruning: dedup + sleep sets vs. the "
@@ -199,18 +196,10 @@ int main() {
       }
       uint64_t baseline_states = 0;
       for (const Mode& mode : kModes) {
-        if (jobs == 1 && !mode.dedup_shared) {
-          continue;  // Table sharing is moot with one worker.
-        }
         core::SynthesisOptions options;
         options.time_cap_seconds = cap;
         options.jobs = static_cast<size_t>(jobs);
-        // Racing portfolio: the cooperative frontier always shares the
-        // fingerprint table, which would make the shared-vs-private
-        // comparison below vacuous at jobs > 1.
-        options.cooperative = false;
         options.dedup = mode.dedup;
-        options.dedup_shared = mode.dedup_shared;
         options.sleep_sets = mode.sleep_sets;
         core::Synthesizer synthesizer(c.module.get(), options);
         core::SynthesisResult result = synthesizer.Synthesize(c.dump);
@@ -238,9 +227,9 @@ int main() {
                                  static_cast<double>(baseline_states));
           std::printf("  (%+.0f%% states)", -reduction);
           // The acceptance bar: >= 30% fewer states on the deterministic
-          // single-worker runs of the gated workloads. Parallel rows race
-          // under a time cap, so their counts are load-dependent and only
-          // reported.
+          // single-worker runs of the gated workloads. Parallel rows steal
+          // work under a time cap, so their counts are load-dependent and
+          // only reported.
           if (jobs == 1 && c.enforce_bar && reduction < 30.0) {
             bar_met = false;
           }

@@ -66,11 +66,6 @@ Cell RunCell(const BenchCase& c, int jobs, const Mode& mode, double cap) {
   core::SynthesisOptions options;
   options.time_cap_seconds = cap;
   options.jobs = static_cast<size_t>(jobs);
-  // Racing portfolio: the shared-vs-private solver-cache comparison was
-  // designed around diversified racing workers; keep that configuration
-  // so the committed baselines stay comparable. bench_portfolio owns the
-  // cooperative-mode scaling numbers.
-  options.cooperative = false;
   options.solver_slice = mode.pipeline;
   options.solver_incremental = mode.pipeline;
   options.solver_cache_shared = mode.cache_shared;
@@ -185,7 +180,7 @@ int main() {
 
   // Parallel rows: the shared portfolio cache must show cross-worker hits
   // (an answer one worker computed short-circuiting another worker's SAT
-  // call). Racing workers make the exact count load-dependent, so the gate
+  // call). Work stealing makes the exact count load-dependent, so the gate
   // is existence, with retries to absorb scheduling luck.
   bool shared_hits_seen = false;
   const BenchCase& pc = cases[1];  // race-arith: the longest query stream.

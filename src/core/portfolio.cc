@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <atomic>
 #include <chrono>
-#include <cstdio>
 #include <memory>
 #include <thread>
 #include <vector>
@@ -30,83 +29,77 @@ struct WorkerOutcome {
   uint64_t seed_best_prefix = 0;
 };
 
+// The initial state every worker's root is forked from at jobs > 1. The
+// caller keeps it alive for the whole run, which pins shared MemoryObjects
+// at use_count >= 2, so no worker can mutate a shared object in place.
+vm::StatePtr MakePrototype(const ir::Module* module, uint32_t main_fn) {
+  solver::ConstraintSolver solver;
+  vm::Interpreter interpreter(module, &solver, {});
+  return interpreter.MakeInitialState(main_fn, 0);
+}
+
 }  // namespace
 
-SynthesisResult RunPortfolio(
-    const ir::Module* module, const Goal& goal,
-    analysis::DistanceCalculator* distances,
-    const std::vector<ProximitySearcher::SearchGoal>& search_goals,
-    const SynthesisOptions& options) {
-  SynthesisResult result;
+void RunPortfolio(const ir::Module* module, const Goal& goal,
+                  analysis::DistanceCalculator* distances,
+                  const std::vector<ProximitySearcher::SearchGoal>& search_goals,
+                  const SynthesisOptions& options, SynthesisResult* result) {
   const size_t jobs = options.jobs;
-  // Cooperative mode: one logical work-stealing frontier drained by all
-  // workers, instead of `jobs` racing frontiers (see synthesizer.h).
-  const bool coop = options.cooperative && jobs > 1;
+  const bool parallel = jobs > 1;
   auto start_time = std::chrono::steady_clock::now();
 
   auto main_fn = module->FindFunction("main");
   if (!main_fn.has_value()) {
-    result.failure_reason = "program has no main function";
-    return result;
+    result->failure_reason = "program has no main function";
+    return;
   }
 
-  // Make every lazy table any worker can touch hot, so the shared
-  // DistanceCalculator is read-only from here on (see distance.h). Charged
-  // to the reported wall clock (start_time is already running) but outside
-  // the engine time cap: on modules large enough for prewarming all
-  // (function, goal) tables to rival the cap, prefer `jobs 1`, which fills
-  // them lazily, capped, for only the pairs the search touches.
-  distances->Prewarm(GoalTargets(search_goals));
-
-  // The prototype initial state. Workers fork it copy-on-write; keeping the
-  // prototype alive for the whole run pins shared MemoryObjects at
-  // use_count >= 2, so no worker can mutate a shared object in place.
-  solver::ConstraintSolver proto_solver;
-  vm::Interpreter proto_interp(module, &proto_solver, {});
-  vm::StatePtr prototype = proto_interp.MakeInitialState(*main_fn, 0);
+  // Solver pipeline stage 2 (shared): one query/counterexample cache shared
+  // by every worker's ConstraintSolver, so one worker's solve
+  // short-circuits the others' identical component queries
+  // (--solver-cache-private opts out; each solver keeps its private caches
+  // either way). A daemon-owned external cache (options.shared_solver_cache)
+  // is used at any `jobs` and replaces the run-local one, so answers also
+  // persist across jobs.
+  solver::SharedSolverCache* shared_cache =
+      options.solver_cache_shared ? options.shared_solver_cache : nullptr;
+  std::unique_ptr<solver::SharedSolverCache> run_cache;
+  vm::StatePtr prototype;
+  if (parallel) {
+    // Make every lazy table any worker can touch hot, so the shared
+    // DistanceCalculator is read-only from here on (see distance.h).
+    // Charged to the reported wall clock (start_time is already running)
+    // but outside the engine time cap: on modules large enough for
+    // prewarming all (function, goal) tables to rival the cap, prefer
+    // `jobs 1`, which fills them lazily, capped, for only the pairs the
+    // search touches.
+    distances->Prewarm(GoalTargets(search_goals));
+    prototype = MakePrototype(module, *main_fn);
+    if (options.solver_cache_shared && shared_cache == nullptr) {
+      run_cache = std::make_unique<solver::SharedSolverCache>();
+      shared_cache = run_cache.get();
+    }
+  }
 
   std::atomic<bool> cancel{false};
   std::atomic<int> winner{-1};
   std::atomic<uint64_t> shared_instructions{0};
   std::atomic<uint64_t> shared_states{0};
-  // Visited-fingerprint table for state dedup: one table shared by every
-  // worker (sharded mutexes; a duplicate found by any worker prunes it for
-  // all) or one private table per worker (no cross-worker synchronization).
-  // bench_pruning measures both configurations.
-  // Cooperative runs always share the table: ownership routing assumes one
-  // table records each interleaving class exactly once.
-  const bool shared_table = options.dedup && (options.dedup_shared || coop);
-  vm::FingerprintTable shared_visited;
-  std::vector<std::unique_ptr<vm::FingerprintTable>> private_visited(jobs);
-  if (options.dedup && !shared_table) {
-    for (auto& table : private_visited) {
-      table = std::make_unique<vm::FingerprintTable>();
-    }
-  }
+  // Visited-fingerprint table for state dedup, shared by every worker
+  // (sharded mutexes): a duplicate found by any worker prunes it for all,
+  // and ownership routing relies on one table recording each interleaving
+  // class exactly once.
+  vm::FingerprintTable visited;
   // The race strategy forks at the sites the lockset detector has flagged,
-  // and that set is not in a state's fingerprint. So the workers that share
-  // a fingerprint table also share one detector, whose set only grows, and
+  // and that set is not in a state's fingerprint. So workers that share the
+  // fingerprint table also share one detector, whose set only grows, and
   // its size is part of every key they record (Engine::Options::
   // dedup_races): a state is pruned only by one recorded under the same
-  // flagged sites, whichever worker ran it.
+  // flagged sites, whichever worker ran it. One worker's own detector
+  // already meets that, and without dedup each worker keeps its own.
+  const bool share_races = parallel && options.dedup;
   vm::RaceDetector shared_races;
-  // Cooperative frontier: per-worker deques behind one routing/stealing
-  // protocol. Unused (but cheap) when racing.
   vm::SharedFrontier frontier(jobs, options.seed);
-  // Solver pipeline stage 2 (shared): one query/counterexample cache shared
-  // by every worker's ConstraintSolver. Workers chase the same goal through
-  // the same program, so one worker's solve short-circuits the others'
-  // identical component queries (--solver-cache-private opts out; each
-  // solver still keeps its private caches either way). A daemon-owned
-  // external cache (options.shared_solver_cache) replaces the run-local
-  // one, so answers also persist across jobs.
-  solver::SharedSolverCache local_solver_cache;
-  solver::SharedSolverCache* shared_cache_ptr = nullptr;
-  if (options.solver_cache_shared) {
-    shared_cache_ptr = options.shared_solver_cache != nullptr
-                           ? options.shared_solver_cache
-                           : &local_solver_cache;
-  }
 
   std::vector<WorkerOutcome> outcomes(jobs);
   auto worker_body = [&](size_t w) {
@@ -116,9 +109,9 @@ SynthesisResult RunPortfolio(
     // report — no shared state, no locks (see event_counters.h).
     ScopedEventCounters counter_scope(&out.report.counters);
 
-    solver::ConstraintSolver solver(MakeSolverOptions(options, shared_cache_ptr));
-    vm::RaceDetector private_races;
-    vm::RaceDetector* races = shared_table ? &shared_races : &private_races;
+    solver::ConstraintSolver solver(MakeSolverOptions(options, shared_cache));
+    vm::RaceDetector own_races;
+    vm::RaceDetector* races = share_races ? &shared_races : &own_races;
     bool want_races = false;
     std::unique_ptr<vm::SchedulePolicy> policy =
         MakeSchedulePolicy(goal, options.enable_race_detection, races,
@@ -132,14 +125,12 @@ SynthesisResult RunPortfolio(
       iopts.branch_filter = MakeCriticalEdgeFilter(&goal, distances);
     }
     vm::Interpreter interpreter(module, &solver, iopts);
-    if (coop) {
-      // Worker w allocates state ids w+1, w+1+jobs, ... so ids stay unique
-      // across workers even when states migrate between frontiers.
-      interpreter.ConfigureStateIds(w + 1, jobs);
-    }
+    // Worker w allocates state ids w+1, w+1+jobs, ... so ids stay unique
+    // across workers even when states migrate between frontiers.
+    interpreter.ConfigureStateIds(w + 1, jobs);
 
     std::unique_ptr<vm::Searcher> searcher = MakeWorkerSearcher(
-        w, jobs, coop, options, distances, search_goals, &out.report.strategy);
+        w, options, distances, search_goals, &out.report.strategy);
     // Incremental re-synthesis: every worker biases toward the prior
     // execution's schedule (see seed_schedule.h); frontier partitioning
     // still diversifies what each one explores beyond the seed.
@@ -161,17 +152,15 @@ SynthesisResult RunPortfolio(
     eopts.shared_max_instructions = options.max_instructions;
     eopts.shared_states = &shared_states;
     eopts.shared_max_states = options.max_states;
-    if (shared_table) {
-      eopts.visited = &shared_visited;
+    if (options.dedup) {
+      eopts.visited = &visited;
+    }
+    if (share_races) {
       eopts.dedup_races = iopts.race_detector;
-    } else if (options.dedup) {
-      eopts.visited = private_visited[w].get();
     }
-    if (coop) {
-      eopts.frontier = &frontier;
-      eopts.worker = w;
-      eopts.workers = jobs;
-    }
+    eopts.frontier = &frontier;
+    eopts.worker = w;
+    eopts.workers = jobs;
 
     vm::Engine engine(&interpreter, searcher.get(), eopts);
     engine.set_unexpected_bug_callback(
@@ -179,7 +168,11 @@ SynthesisResult RunPortfolio(
           out.other_bugs.push_back(std::string(vm::BugKindName(bug.kind)) + ": " +
                                    bug.message);
         });
-    engine.Start(prototype->Fork(interpreter.AllocStateId()));
+    // Each worker at jobs > 1 starts from its own root; the shared table
+    // collapses the duplicate roots' subtrees as they meet.
+    engine.Start(parallel ? prototype->Fork(interpreter.AllocStateId())
+                          : interpreter.MakeInitialState(
+                                *main_fn, interpreter.AllocStateId()));
 
     vm::Engine::Result run = engine.Run(
         [&goal](const vm::ExecutionState& state, const vm::BugInfo& bug) {
@@ -196,8 +189,9 @@ SynthesisResult RunPortfolio(
     if (run.status == vm::Engine::Result::Status::kGoalFound) {
       int expected = -1;
       if (winner.compare_exchange_strong(expected, static_cast<int>(w))) {
-        // This worker won the race: stop the others, then finish its
-        // pipeline — solve the path constraints and build the file (§5.1).
+        // This worker reached the goal first: stop the others, then finish
+        // its pipeline — solve the path constraints and build the file
+        // (§5.1).
         cancel.store(true, std::memory_order_relaxed);
         out.report.winner = true;
         out.report.status = "goal";
@@ -205,6 +199,8 @@ SynthesisResult RunPortfolio(
         if (solver.IsSatisfiable(run.goal_state->constraints, &model)) {
           out.solved = true;
           out.bug = run.bug;
+          // Coordinate stability makes the file valid against the original
+          // module as well as the optimized copy it was searched on.
           out.file =
               replay::BuildExecutionFile(*module, *run.goal_state, run.bug, model);
         } else {
@@ -229,56 +225,70 @@ SynthesisResult RunPortfolio(
     }
   };
 
-  std::vector<std::thread> threads;
-  threads.reserve(jobs);
-  for (size_t w = 0; w < jobs; ++w) {
-    threads.emplace_back(worker_body, w);
+  std::vector<std::thread> helpers;
+  helpers.reserve(jobs - 1);
+  for (size_t w = 1; w < jobs; ++w) {
+    helpers.emplace_back(worker_body, w);
   }
-  for (std::thread& t : threads) {
+  try {
+    worker_body(0);
+  } catch (...) {
+    // The helpers use this frame's state: stop and join them first.
+    cancel.store(true, std::memory_order_relaxed);
+    for (std::thread& t : helpers) {
+      t.join();
+    }
+    throw;
+  }
+  for (std::thread& t : helpers) {
     t.join();
   }
-  result.seconds = std::chrono::duration<double>(std::chrono::steady_clock::now() -
-                                                 start_time)
-                       .count();
+  // See SynthesisResult::seconds for the two meanings.
+  result->seconds = parallel ? std::chrono::duration<double>(
+                                   std::chrono::steady_clock::now() - start_time)
+                                   .count()
+                             : outcomes[0].report.seconds;
 
-  // Merge portfolio-wide accounting.
+  // Merge run-wide accounting.
   bool any_limit = false;
-  for (size_t w = 0; w < jobs; ++w) {
-    WorkerOutcome& out = outcomes[w];
-    result.instructions += out.report.instructions;
-    result.states_created += out.report.states_created;
-    result.states_deduped += out.report.states_deduped;
-    result.sleep_set_skips += out.report.sleep_set_skips;
-    result.counters.Add(out.report.counters);
-    result.solver.Accumulate(out.solver_stats);
+  for (WorkerOutcome& out : outcomes) {
+    result->instructions += out.report.instructions;
+    result->states_created += out.report.states_created;
+    result->states_deduped += out.report.states_deduped;
+    result->sleep_set_skips += out.report.sleep_set_skips;
+    result->counters.Add(out.report.counters);
+    result->solver.Accumulate(out.solver_stats);
     for (std::string& bug : out.other_bugs) {
-      result.other_bugs.push_back(std::move(bug));
+      result->other_bugs.push_back(std::move(bug));
     }
     any_limit |= out.status == vm::Engine::Result::Status::kLimitReached;
-    result.seed_best_prefix = std::max(result.seed_best_prefix, out.seed_best_prefix);
-    result.workers.push_back(std::move(out.report));
+    result->seed_best_prefix = std::max(result->seed_best_prefix, out.seed_best_prefix);
+    if (parallel) {
+      result->workers.push_back(std::move(out.report));
+    }
   }
   if (options.seed_schedule != nullptr) {
-    result.seed_switches = options.seed_schedule->strict.size();
+    result->seed_switches = options.seed_schedule->strict.size();
   }
 
   int win = winner.load();
   if (win < 0) {
-    result.failure_reason = any_limit
-                                ? "search budget exhausted before reaching the goal"
-                                : "search space exhausted without manifesting the goal";
-    return result;
+    result->failure_reason = any_limit
+                                 ? "search budget exhausted before reaching the goal"
+                                 : "search space exhausted without manifesting the goal";
+    return;
   }
-  result.winning_worker = win;
+  if (parallel) {
+    result->winning_worker = win;
+  }
   WorkerOutcome& best = outcomes[static_cast<size_t>(win)];
   if (!best.solved) {
-    result.failure_reason = "goal state constraints unexpectedly unsatisfiable";
-    return result;
+    result->failure_reason = "goal state constraints unexpectedly unsatisfiable";
+    return;
   }
-  result.success = true;
-  result.bug = best.bug;
-  result.file = std::move(best.file);
-  return result;
+  result->success = true;
+  result->bug = best.bug;
+  result->file = std::move(best.file);
 }
 
 }  // namespace esd::core

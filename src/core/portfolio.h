@@ -1,31 +1,35 @@
-// ESD core: the parallel portfolio synthesis engine.
+// ESD core: the search driver, for every `jobs` value.
 //
 // §6 credits copy-on-write state sharing for ESD's scalability; this module
-// turns that into wall-clock speedup on multicore hardware. N worker
-// threads race to the goal, each running a private Engine + Interpreter +
-// ConstraintSolver over its own copy-on-write fork of the initial state.
-// The workers differ only in search strategy — a portfolio:
-//
-//   worker 0       proximity search, exactly the `jobs == 1` configuration
-//                  (same seed, same schedule weight);
-//   workers 1..N-2 proximity search with decorrelated RNG seeds and varied
-//                  schedule_weight biases (§4.1's knob);
-//   worker N-1     a RandomPath baseline (§7.2), insurance against goals
-//                  the distance heuristic misleads.
+// turns that into wall-clock speedup on multicore hardware. Each of the
+// `jobs` workers runs a private Engine + Interpreter + ConstraintSolver +
+// searcher, all built by one worker function; the calling thread runs
+// worker 0 and jobs > 1 adds jobs - 1 helper threads. The workers drain one
+// logical frontier (vm::SharedFrontier, src/vm/work_queue.h): forks are
+// routed to a home worker by fingerprint, idle workers steal, and the run
+// reports exhaustion only once the frontier drains with nothing in flight.
 //
 // Shared across workers, read-only: the ir::Module, the extracted Goal, the
-// search-goal list, and one DistanceCalculator whose lazy caches are
-// prewarmed (DistanceCalculator::Prewarm) before the first worker starts.
-// Shared and mutable: one std::atomic cancellation flag (first worker to
-// manifest the goal wins and stops the rest) and atomic instruction/state
-// budgets so the portfolio as a whole respects SynthesisOptions limits.
+// search-goal list, and one DistanceCalculator. Shared and mutable: one
+// std::atomic cancellation flag (the first worker to manifest the goal wins
+// and stops the rest), atomic instruction/state budgets so the run as a
+// whole respects the SynthesisOptions limits, and the frontier.
 //
-// Memory safety of the state sharing: forks of the initial state share
+// Only a parallel run sets up the rest, so `--jobs 1` pays for none of it
+// and keeps its counts and execution files: the DistanceCalculator prewarm
+// (one worker fills its tables lazily), the run-local shared solver cache
+// (one worker attaches only the service's external cache), one
+// RaceDetector shared with the fingerprint table (Engine::Options::
+// dedup_races), the pinned prototype each worker's root is forked from
+// (worker 0 of one starts from the initial state itself), and the
+// per-worker reports.
+//
+// Memory safety of the state sharing: forks of the prototype share
 // MemoryObjects through shared_ptr (atomic refcounts). A worker clones an
-// object before writing whenever use_count > 1; the prototype state keeps
-// one reference alive for the whole run, so an object visible to two
-// workers can never appear uniquely owned, and in-place mutation only ever
-// happens on worker-private objects.
+// object before writing whenever use_count > 1; the prototype keeps one
+// reference alive for the whole run, so an object visible to two workers
+// can never appear uniquely owned, and in-place mutation only ever happens
+// on worker-private objects.
 #ifndef ESD_SRC_CORE_PORTFOLIO_H_
 #define ESD_SRC_CORE_PORTFOLIO_H_
 
@@ -36,16 +40,17 @@
 
 namespace esd::core {
 
-// Races `options.jobs` workers to `goal`. `distances` must already be
-// constructed for `module`; RunPortfolio prewarms it for `search_goals`.
-// Returns the winning worker's result with merged portfolio-wide stats
-// (instructions / states / solver queries summed, `workers` filled,
-// `winning_worker` set). `result.intermediate_goals` is left untouched —
-// the caller counts those while building `search_goals`.
-SynthesisResult RunPortfolio(const ir::Module* module, const Goal& goal,
-                             analysis::DistanceCalculator* distances,
-                             const std::vector<ProximitySearcher::SearchGoal>& search_goals,
-                             const SynthesisOptions& options);
+// Searches for `goal` with `options.jobs` workers and fills in `*result`:
+// the verdict and execution file, the search and solver accounting (summed
+// across workers), the event counters (added to what `*result` holds), and
+// for jobs > 1 `workers` and `winning_worker`. `distances` must already be
+// constructed for `module`; jobs > 1 prewarms it for `search_goals`. The
+// set-up fields of `*result` (pass stats, intermediate goals, restored
+// tables) are left as the caller filled them.
+void RunPortfolio(const ir::Module* module, const Goal& goal,
+                  analysis::DistanceCalculator* distances,
+                  const std::vector<ProximitySearcher::SearchGoal>& search_goals,
+                  const SynthesisOptions& options, SynthesisResult* result);
 
 }  // namespace esd::core
 

@@ -69,7 +69,7 @@ double ProximitySearcher::Priority(const vm::ExecutionState& state,
   // took its inner lock has "no remaining path" to it, yet is exactly the
   // state to run).
   double path = static_cast<double>(std::min<uint64_t>(dist, kPathDistanceCap));
-  return state.schedule_distance * options_.schedule_weight + path - bonus;
+  return state.schedule_distance * kScheduleWeight + path - bonus;
 }
 
 double ProximitySearcher::BlockedGoalBonus(const vm::ExecutionState& state) const {

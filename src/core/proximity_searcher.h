@@ -30,12 +30,13 @@ namespace esd::core {
 class ProximitySearcher : public vm::Searcher {
  public:
   struct Options {
-    // Weight multiplying the schedule distance (heavy bias, §4.1).
-    double schedule_weight = 1e7;
     uint64_t seed = 1;
   };
 
-  // Path distances saturate here, strictly below schedule_weight, so the
+  // Weight multiplying the schedule distance (heavy bias, §4.1).
+  static constexpr double kScheduleWeight = 1e7;
+
+  // Path distances saturate here, strictly below kScheduleWeight, so the
   // schedule-distance bias always dominates.
   static constexpr uint64_t kPathDistanceCap = 1'000'000;
 
@@ -45,18 +46,16 @@ class ProximitySearcher : public vm::Searcher {
   // path-distance cap so such states always outrank the exploration
   // frontier — without this they tie with it and starve (a frontier of
   // tens of thousands of equal-priority states advances each lineage once
-  // per frontier-size selections). Kept below schedule_weight so the §4.1
+  // per frontier-size selections). Kept below kScheduleWeight so the §4.1
   // schedule-distance bias still dominates.
   static constexpr double kBlockedGoalBonus = 2'000'000.0;
 
   // Priorities below this are in a "drive to completion" stratum (some
   // goal thread blocked at its target, or schedule-near): see the Entry
-  // comparator. Matches the default schedule weight — states on the plain
-  // far frontier sit at schedule_weight + path and stay above it. Only tie
-  // *order* depends on this constant, never correctness, so a
-  // non-default Options::schedule_weight merely shifts which ties are
-  // driven.
-  static constexpr double kDriveTieThreshold = 1e7;
+  // comparator. States on the plain far frontier sit at kScheduleWeight +
+  // path and stay above it. Only tie *order* depends on this constant,
+  // never correctness.
+  static constexpr double kDriveTieThreshold = kScheduleWeight;
 
   // `goals`: the final per-thread goals (goal.threads) plus any intermediate
   // goals; each entry is (target instruction, thread id or kAnyThread).

@@ -7,14 +7,6 @@
 #include "src/core/race_strategy.h"
 
 namespace esd::core {
-namespace {
-
-// Schedule-weight variants for a racing portfolio's non-baseline workers
-// (§4.1's bias knob). Worker 0 keeps the default 1e7 so its configuration
-// matches `jobs == 1`; later workers sweep stronger and weaker biases.
-constexpr double kScheduleWeights[] = {1e7, 1e5, 1e9, 1e3};
-
-}  // namespace
 
 uint64_t WorkerSeed(const SynthesisOptions& options, size_t worker) {
   // Worker 0 keeps the user's seed; the rest are decorrelated from it.
@@ -23,56 +15,21 @@ uint64_t WorkerSeed(const SynthesisOptions& options, size_t worker) {
 }
 
 std::unique_ptr<vm::Searcher> MakeWorkerSearcher(
-    size_t worker, size_t jobs, bool cooperative, const SynthesisOptions& options,
+    size_t worker, const SynthesisOptions& options,
     analysis::DistanceCalculator* distances,
     const std::vector<ProximitySearcher::SearchGoal>& search_goals,
     std::string* strategy) {
-  uint64_t seed = WorkerSeed(options, worker);
-  char buf[64];
-  if (cooperative) {
-    // One logical frontier, partitioned by fingerprint: every worker runs
-    // the jobs == 1 strategy over its share of the interleaving classes.
-    // Racing-style diversification would only skew which partition's states
-    // get explored first without adding coverage.
-    if (!options.use_proximity) {
-      *strategy = "coop-bfs";
-      return std::make_unique<vm::BfsSearcher>();
-    }
-    ProximitySearcher::Options popts;
-    popts.seed = seed;
-    std::snprintf(buf, sizeof(buf), "coop-proximity(seed=%llu)",
-                  static_cast<unsigned long long>(seed));
-    *strategy = buf;
-    return std::make_unique<ProximitySearcher>(distances, search_goals, popts);
-  }
-  if (jobs > 1 && worker == jobs - 1) {
-    // The racing portfolio's baseline slot: quasi-random path coverage
-    // (§7.2), insurance against goals the distance heuristic misleads.
-    std::snprintf(buf, sizeof(buf), "random-path(seed=%llu)",
-                  static_cast<unsigned long long>(seed));
-    *strategy = buf;
-    return std::make_unique<vm::RandomPathSearcher>(seed);
-  }
+  // One logical frontier, partitioned by fingerprint: every worker runs the
+  // same strategy over its share of the interleaving classes.
   if (!options.use_proximity) {
-    // Ablation portfolio: worker 0 keeps the jobs==1 configuration (BFS);
-    // duplicating the deterministic BFS across further workers would add
-    // zero coverage while draining the shared budget, so the rest run
-    // uniform-random state selection with decorrelated seeds.
-    if (worker == 0) {
-      *strategy = "bfs";
-      return std::make_unique<vm::BfsSearcher>();
-    }
-    std::snprintf(buf, sizeof(buf), "random-state(seed=%llu)",
-                  static_cast<unsigned long long>(seed));
-    *strategy = buf;
-    return std::make_unique<vm::RandomStateSearcher>(seed);
+    *strategy = "coop-bfs";
+    return std::make_unique<vm::BfsSearcher>();
   }
   ProximitySearcher::Options popts;
-  popts.seed = seed;
-  popts.schedule_weight =
-      kScheduleWeights[worker % (sizeof(kScheduleWeights) / sizeof(double))];
-  std::snprintf(buf, sizeof(buf), "proximity(seed=%llu,w=%.0e)",
-                static_cast<unsigned long long>(seed), popts.schedule_weight);
+  popts.seed = WorkerSeed(options, worker);
+  char buf[64];
+  std::snprintf(buf, sizeof(buf), "coop-proximity(seed=%llu)",
+                static_cast<unsigned long long>(popts.seed));
   *strategy = buf;
   return std::make_unique<ProximitySearcher>(distances, search_goals, popts);
 }

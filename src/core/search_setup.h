@@ -1,11 +1,10 @@
-// ESD core: shared search-configuration helpers.
+// ESD core: search-configuration helpers.
 //
-// The pieces of the synthesis pipeline that are identical for the
-// single-threaded engine (synthesizer.cc) and every parallel portfolio
-// worker (portfolio.cc): deriving the search-goal list from the extracted
-// goal, the critical-edge branch filter (§3.3 path abandonment), and the
-// per-bug-class schedule policy (§4). Keeping them in one place guarantees
-// `--jobs 1` and each portfolio worker explore under the same rules.
+// The pieces of the synthesis pipeline the synthesizer (synthesizer.cc)
+// and each search worker (portfolio.cc) build from the options: the
+// search-goal list derived from the extracted goal, each worker's searcher
+// and solver options, the critical-edge branch filter (§3.3 path
+// abandonment), and the per-bug-class schedule policy (§4).
 #ifndef ESD_SRC_CORE_SEARCH_SETUP_H_
 #define ESD_SRC_CORE_SEARCH_SETUP_H_
 
@@ -25,25 +24,23 @@
 
 namespace esd::core {
 
-// Portfolio worker `worker`'s RNG seed: worker 0 keeps the user's seed (so
-// its configuration matches `jobs == 1`); the rest are decorrelated.
+// Worker `worker`'s RNG seed: worker 0 keeps the user's seed, so `--jobs 1`
+// searches with it; the rest are decorrelated.
 uint64_t WorkerSeed(const SynthesisOptions& options, size_t worker);
 
-// Builds portfolio worker `worker`'s searcher and writes a description of it
-// to `*strategy`. Racing portfolios (cooperative == false) diversify: the
-// last slot runs random-path as insurance, the rest sweep schedule weights
-// with decorrelated seeds. Cooperative portfolios keep every worker on the
-// `jobs == 1` configuration — coverage diversity comes from frontier
-// partitioning, not strategy — with per-worker seeds so stolen states are
-// re-scored deterministically on arrival.
+// Builds worker `worker`'s searcher and writes a description of it to
+// `*strategy`. Every worker runs the same strategy (proximity, or BFS when
+// proximity is ablated): coverage diversity comes from frontier
+// partitioning, and the per-worker seeds re-score stolen states
+// deterministically on arrival.
 std::unique_ptr<vm::Searcher> MakeWorkerSearcher(
-    size_t worker, size_t jobs, bool cooperative, const SynthesisOptions& options,
+    size_t worker, const SynthesisOptions& options,
     analysis::DistanceCalculator* distances,
     const std::vector<ProximitySearcher::SearchGoal>& search_goals,
     std::string* strategy);
 
 // Maps the SynthesisOptions solver toggles onto solver::SolverOptions.
-// `shared_cache` (may be null) is the portfolio-wide cache for jobs > 1.
+// `shared_cache` (may be null) is the cache shared across workers and runs.
 solver::SolverOptions MakeSolverOptions(const SynthesisOptions& options,
                                         solver::SharedSolverCache* shared_cache);
 
@@ -55,7 +52,7 @@ std::vector<ProximitySearcher::SearchGoal> BuildSearchGoals(
     const Goal& goal, bool use_intermediate_goals, size_t* intermediate_count);
 
 // The distance targets a search over `search_goals` can query: used to
-// prewarm the shared DistanceCalculator before portfolio workers start.
+// prewarm the shared DistanceCalculator before parallel workers start.
 std::vector<ir::InstRef> GoalTargets(
     const std::vector<ProximitySearcher::SearchGoal>& search_goals);
 

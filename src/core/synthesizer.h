@@ -35,24 +35,15 @@ struct SynthesisOptions {
   uint64_t max_instructions = 50'000'000;
   size_t max_states = 200'000;
   uint64_t seed = 1;
-  // Parallel portfolio width (§6 scalability). 1 = the classic
-  // single-threaded engine, byte-identical to the pre-portfolio behavior.
-  // N > 1 races N worker threads — each with its own engine, searcher
-  // variant, and solver over a copy-on-write fork of the initial state —
-  // until the first one manifests the goal; the instruction/state budgets
-  // above are then shared portfolio-wide.
+  // Search workers (§6 scalability; src/core/portfolio.h). Every value
+  // runs the same driver: the calling thread is worker 0 and N > 1 adds
+  // N - 1 helper threads, each with its own engine, searcher and solver,
+  // all draining one logical work-stealing frontier (src/vm/work_queue.h):
+  // forks are routed to a home worker by fingerprint ownership hashing,
+  // idle workers steal from busy peers, and the run only reports
+  // exhaustion once the shared frontier drains with nothing in flight. The
+  // instruction/state budgets above are shared run-wide.
   size_t jobs = 1;
-  // jobs > 1 only: cooperative exploration (the default). All workers drain
-  // one logical work-stealing frontier (src/vm/work_queue.h): schedule forks
-  // are routed to a home worker by fingerprint ownership hashing, idle
-  // workers steal from busy peers, and the run only reports exhaustion once
-  // the shared frontier drains with nothing in flight. false
-  // (--race-portfolio) restores the racing portfolio: each worker explores
-  // its own full frontier with a diversified strategy until the first one
-  // wins. Cooperative runs always share the fingerprint table when dedup is
-  // on (dedup_shared is ignored): ownership routing assumes one table
-  // records each interleaving class exactly once.
-  bool cooperative = true;
   // §3.3 focusing techniques (ablation switches):
   bool use_proximity = true;           // Proximity-guided state selection.
   bool use_intermediate_goals = true;  // Static anchor points (§3.2).
@@ -67,13 +58,9 @@ struct SynthesisOptions {
   // ---- Redundant-interleaving pruning ----
   // State deduplication: drop schedule forks / prune states whose 64-bit
   // fingerprint (pcs + registers + memory + sync objects + constraints) was
-  // already explored. Counted in SynthesisResult::states_deduped.
+  // already explored. Counted in SynthesisResult::states_deduped. With
+  // jobs > 1 all workers share one table (behind sharded mutexes).
   bool dedup = true;
-  // With jobs > 1: one fingerprint table shared by all workers (behind
-  // sharded mutexes) instead of a private table per worker. Shared finds
-  // more duplicates (cross-worker); private avoids all synchronization.
-  // bench_pruning measures both.
-  bool dedup_shared = true;
   // Sleep sets: a schedule fork's child records the preempted (thread, op)
   // pair and skips re-forking it until a dependent operation wakes it.
   bool sleep_sets = true;
@@ -84,9 +71,9 @@ struct SynthesisOptions {
   // Stage 4: assumption-based incremental SAT (persistent session keeping
   // learned clauses and bit-blasted circuits across queries).
   bool solver_incremental = true;
-  // Stage 2, jobs > 1: one query/counterexample cache shared by all workers
-  // (sharded mutexes) instead of per-worker caches only. Mirrors the
-  // --dedup shared/private split; cross-worker hits are counted per worker.
+  // Stage 2: one query/counterexample cache shared by all workers (sharded
+  // mutexes) instead of per-worker caches only; cross-worker hits are
+  // counted per worker. Also gates shared_solver_cache below.
   bool solver_cache_shared = true;
   // Stage 3: interval value-range discharge of guard constraints before
   // bit-blasting (src/solver/range.h).
@@ -97,10 +84,10 @@ struct SynthesisOptions {
   // against the original module (coordinate stability). --no-ir-opt.
   bool ir_opt = true;
   // ---- Synthesis-service hooks (src/serve, the esdserved daemon) ----
-  // External shared solver cache (not owned; may be null). When set, the
-  // jobs == 1 path uses it too and the portfolio uses it instead of its
-  // run-local cache — which is what lets solver answers persist across
-  // jobs and daemon restarts. solver_cache_shared still gates it.
+  // External shared solver cache (not owned; may be null). When set, every
+  // worker uses it at any `jobs`, in place of the run-local cache jobs > 1
+  // would build — which is what lets solver answers persist across jobs
+  // and daemon restarts. solver_cache_shared still gates it.
   solver::SharedSolverCache* shared_solver_cache = nullptr;
   // Incremental re-synthesis: a previously synthesized execution file for
   // this bug (possibly against a pre-patch module). The search seeds from
@@ -118,9 +105,9 @@ struct SynthesisOptions {
   std::function<void(analysis::DistanceCalculator&)> on_distances_done;
 };
 
-// Per-worker accounting for a portfolio run (`jobs` > 1).
+// Per-worker accounting for a parallel run (`jobs` > 1).
 struct WorkerReport {
-  std::string strategy;  // e.g. "proximity(seed=3,w=1e+07)" or "random-path".
+  std::string strategy;  // e.g. "coop-proximity(seed=3)" or "coop-bfs".
   uint64_t seed = 0;
   bool winner = false;
   // "goal" (winner), "goal(lost)" (reached the goal but another worker
@@ -149,6 +136,11 @@ struct SynthesisResult {
   // different bug": recorded and search resumed).
   std::vector<std::string> other_bugs;
 
+  // At jobs == 1, the Engine::Run time: search only, without set-up or the
+  // final model solve (perfbench splits core.setup from vm.search on it).
+  // At jobs > 1, the wall time from the DistanceCalculator prewarm to the
+  // last worker's exit, the winner's model solve included
+  // (bench_portfolio's gated ratio divides by it).
   double seconds = 0.0;
   uint64_t instructions = 0;    // Summed across workers when jobs > 1.
   uint64_t states_created = 0;  // Summed across workers when jobs > 1.
@@ -170,7 +162,7 @@ struct SynthesisResult {
   // Pre-synthesis IR pipeline accounting: rewrite counts per category.
   ir::passes::PassStats pass_stats;
 
-  // Portfolio accounting (empty / -1 for jobs == 1).
+  // Per-worker accounting (empty / -1 for jobs == 1).
   std::vector<WorkerReport> workers;
   int winning_worker = -1;
 

@@ -14,7 +14,6 @@ core::SynthesisOptions BaseOptions(const OracleOptions& options) {
   synth.max_instructions = options.max_instructions;
   synth.max_states = options.max_states;
   synth.jobs = options.jobs;
-  synth.cooperative = options.cooperative;
   synth.ir_opt = options.ir_opt;
   synth.store_buffer = options.store_buffer;
   return synth;

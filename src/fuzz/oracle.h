@@ -3,12 +3,12 @@
 // Every generated scenario comes with a planted bug and a known trigger,
 // which makes full-engine validation free: the oracle (1) manifests the
 // bug concretely to capture the report a user's failing run would produce,
-// (2) runs complete synthesis (portfolio, pruning, solver pipeline on)
-// against that report, (3) strict- and happens-before-replays the
-// synthesized execution file and re-checks determinism, and (4) re-runs
-// synthesis with the pruning layer, with the solver pipeline, and with the
-// pre-synthesis IR optimizer disabled: the ablations must agree with the
-// full engine on feasibility. A verdict
+// (2) runs complete synthesis (OracleOptions::jobs workers, pruning and
+// solver pipeline on) against that report, (3) strict- and
+// happens-before-replays the synthesized execution file and re-checks
+// determinism, and (4) re-runs synthesis with the pruning layer, with the
+// solver pipeline, and with the pre-synthesis IR optimizer disabled: the
+// ablations must agree with the full engine on feasibility. A verdict
 // failing any stage is a real engine bug (or a generator bug), never fuzz
 // noise — which is what lets the fuzz sweep gate CI.
 #ifndef ESD_SRC_FUZZ_ORACLE_H_
@@ -27,12 +27,10 @@ struct OracleOptions {
   double time_cap_seconds = 30.0;
   uint64_t max_instructions = 20'000'000;
   size_t max_states = 100'000;
+  // Search workers for every synthesis run. The CI coop-ablation job
+  // sweeps the corpus with `--jobs 2` and `--jobs 4` and diffs per-seed
+  // verdicts against the jobs=1 sweep.
   size_t jobs = 1;
-  // With jobs > 1: cooperative work-stealing portfolio (the synthesizer
-  // default) vs. racing portfolio. The CI coop-ablation job sweeps the
-  // corpus with `--jobs N --cooperative` and diffs per-seed verdicts
-  // against the jobs=1 sweep.
-  bool cooperative = true;
   // Pre-synthesis IR optimization for the primary run (and the pruning /
   // solver ablations, which inherit it). `esdfuzz --no-ir-opt` clears this
   // so the whole sweep exercises the unoptimized engine — the CI ablation

@@ -158,9 +158,11 @@ Engine::Result Engine::Run(const BugMatcher& matcher) {
       }
     }
   };
-  // Budget probe for the cooperative idle path: while a worker spins
-  // waiting for peers, `instructions` does not advance, so the batched
-  // flush checks above never fire — read the shared counters directly.
+  // The shared budgets, checked after each flush and on the idle path
+  // (while a worker spins waiting for peers, `instructions` does not
+  // advance, so no flush fires). The state check is strict, like the local
+  // live_.size() check, so one worker stops exactly where it would without
+  // the shared counters.
   auto shared_budget_exceeded = [&] {
     if (shared_budget_hit) {
       return true;
@@ -172,7 +174,7 @@ Engine::Result Engine::Run(const BugMatcher& matcher) {
       return true;
     }
     return options_.shared_states != nullptr && options_.shared_max_states != 0 &&
-           options_.shared_states->load(std::memory_order_relaxed) >=
+           options_.shared_states->load(std::memory_order_relaxed) >
                options_.shared_max_states;
   };
 
@@ -189,19 +191,19 @@ Engine::Result Engine::Run(const BugMatcher& matcher) {
         break;  // kExhausted: the lone frontier is empty.
       }
       switch (options_.frontier->Acquire(options_.worker, &incoming)) {
-        case WorkQueue::AcquireResult::kGot:
+        case SharedFrontier::AcquireResult::kGot:
           AdoptIncoming(&incoming);
           idle_spins = 0;
           continue;
-        case WorkQueue::AcquireResult::kDrained:
+        case SharedFrontier::AcquireResult::kDrained:
           // Global frontier empty and nothing in flight anywhere: the
-          // cooperative search space is exhausted.
+          // search space is exhausted.
           result.status = Result::Status::kExhausted;
           break;
-        case WorkQueue::AcquireResult::kAbort:
+        case SharedFrontier::AcquireResult::kAbort:
           result.status = Result::Status::kLimitReached;
           break;
-        case WorkQueue::AcquireResult::kRetry: {
+        case SharedFrontier::AcquireResult::kRetry: {
           // Peers hold in-flight states that may still fork children into
           // our partition: spin, but keep honoring cancellation and the
           // budgets the per-step checks below can no longer reach.
@@ -237,10 +239,7 @@ Engine::Result Engine::Run(const BugMatcher& matcher) {
     }
     if (unflushed >= flush_period) {
       flush_shared();
-      if (shared_budget_hit ||
-          (options_.shared_states != nullptr && options_.shared_max_states != 0 &&
-           options_.shared_states->load(std::memory_order_relaxed) >=
-               options_.shared_max_states)) {
+      if (shared_budget_exceeded()) {
         result.status = Result::Status::kLimitReached;
         break;
       }
@@ -257,8 +256,8 @@ Engine::Result Engine::Run(const BugMatcher& matcher) {
     ++instructions;
     ++unflushed;
     if (options_.dedup_races != nullptr) {
-      // Before `state` can finish: while it is in flight, no cooperative
-      // peer can see the frontier drained ahead of the restart.
+      // Before `state` can finish: while it is in flight, no peer can see
+      // the frontier drained ahead of the restart.
       RestartIfRacesGrew();
     }
     for (StatePtr& fork : step.forks) {

@@ -28,19 +28,20 @@ class Engine : public EngineServices {
     uint64_t max_instructions = 100'000'000;
     size_t max_states = 1'000'000;
     double time_cap_seconds = 3600.0;
-    // ---- Cooperative portfolio controls (all optional) ----
+    // ---- Portfolio controls (all optional) ----
     // Checked every step; when another worker sets it, Run returns
     // kCancelled. Null for standalone (single-engine) runs.
     const std::atomic<bool>* cancel = nullptr;
-    // Portfolio-wide budgets shared by all racing workers. Instruction
-    // counts are flushed into `shared_instructions` in batches of up to 256
-    // (shrunk for small budgets, so the hot loop stays contention-free yet
-    // the check still fires); when the sum crosses
-    // `shared_max_instructions` (0 = unlimited) the run stops with
-    // kLimitReached. `shared_states`/`shared_max_states` bound the total
-    // number of *live* states across the portfolio the same way (the
-    // counter is decremented when a state finishes, mirroring the local
-    // live_.size() check).
+    // Portfolio-wide budgets shared by all workers. Instruction counts are
+    // flushed into `shared_instructions` in batches of up to 256 (shrunk
+    // for small budgets, so the hot loop stays contention-free yet the
+    // check still fires); when the sum reaches `shared_max_instructions`
+    // (0 = unlimited) the run stops with kLimitReached.
+    // `shared_states`/`shared_max_states` bound the total number of *live*
+    // states across the portfolio the same way: the counter is decremented
+    // when a state finishes, and the run stops once it exceeds the budget,
+    // mirroring the local live_.size() check. With one worker the shared
+    // checks therefore stop exactly where the local ones do.
     std::atomic<uint64_t>* shared_instructions = nullptr;
     uint64_t shared_max_instructions = 0;
     std::atomic<uint64_t>* shared_states = nullptr;
@@ -62,15 +63,15 @@ class Engine : public EngineServices {
     // parallel portfolio sets it to the detector its workers share
     // (portfolio.cc).
     const RaceDetector* dedup_races = nullptr;
-    // ---- Cooperative work-stealing frontier (src/vm/work_queue.h) ----
-    // When set, this engine is worker `worker` of `workers` cooperative
-    // peers draining one logical frontier: a newly registered fork whose
-    // fingerprint mod `workers` names another worker is handed off through
-    // the frontier instead of kept; an empty local searcher triggers
-    // draining/stealing instead of exhaustion; and Run only returns
-    // kExhausted once the frontier's global in-flight count is zero.
-    // Null keeps the classic single-frontier behavior.
-    WorkQueue* frontier = nullptr;
+    // ---- Work-stealing frontier (src/vm/work_queue.h) ----
+    // When set and `workers` > 1, this engine is worker `worker` of
+    // `workers` peers draining one logical frontier: a newly registered
+    // fork whose fingerprint mod `workers` names another worker is handed
+    // off through the frontier instead of kept; an empty local searcher
+    // triggers draining/stealing instead of exhaustion; and Run only
+    // returns kExhausted once the frontier's global in-flight count is
+    // zero. Null, or one worker, keeps the single-frontier behavior.
+    SharedFrontier* frontier = nullptr;
     size_t worker = 0;
     size_t workers = 1;
   };
@@ -86,7 +87,8 @@ class Engine : public EngineServices {
   void Start(StatePtr initial);
 
   struct Result {
-    // kCancelled: another portfolio worker won the race (Options::cancel).
+    // kCancelled: another portfolio worker reached the goal first
+    // (Options::cancel).
     enum class Status { kGoalFound, kExhausted, kLimitReached, kCancelled };
     Status status = Status::kExhausted;
     StatePtr goal_state;
@@ -123,8 +125,7 @@ class Engine : public EngineServices {
   // Options::dedup_races only: adds a fork of the initial state if the
   // flagged-site count grew since the last call.
   void RestartIfRacesGrew();
-  // Cooperative mode only: true when this engine participates in a shared
-  // frontier (jobs > 1 with --cooperative).
+  // True when this engine shares a frontier with peers (jobs > 1).
   bool Cooperative() const {
     return options_.frontier != nullptr && options_.workers > 1;
   }

@@ -212,9 +212,9 @@ class Interpreter {
     return id;
   }
 
-  // Cooperative portfolio: worker w of N allocates ids w+1, w+1+N, w+1+2N, …
-  // so ids stay unique across workers even when states migrate between
-  // frontiers. The default (first=1, stride=1) is the classic sequence.
+  // Search workers: worker w of N allocates ids w+1, w+1+N, w+1+2N, … so
+  // ids stay unique across workers even when states migrate between
+  // frontiers. One worker (first=1, stride=1) keeps the default sequence.
   void ConfigureStateIds(uint64_t first, uint64_t stride) {
     next_state_id_ = first;
     state_id_stride_ = stride;

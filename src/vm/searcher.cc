@@ -54,16 +54,4 @@ StatePtr RandomPathSearcher::Select() {
   return states_.back();
 }
 
-void RandomStateSearcher::Remove(const StatePtr& state) { EraseState(&states_, state); }
-
-StatePtr RandomStateSearcher::Select() {
-  if (states_.empty()) {
-    return nullptr;
-  }
-  // Modulo draw (not std::uniform_int_distribution, which is
-  // implementation-defined): bias is negligible for live-set sizes and the
-  // sequence is identical on every platform.
-  return states_[rng_() % states_.size()];
-}
-
 }  // namespace esd::vm

@@ -5,7 +5,7 @@
 // src/core/; this header provides the interface plus the baseline strategies
 // the paper compares against (§7.2): DFS ("equivalent to an exhaustive
 // search") and RandomPath ("a quasi-random strategy meant to maximize global
-// path coverage"), plus BFS and uniform-random for tests.
+// path coverage"), plus BFS for the proximity ablation and tests.
 #ifndef ESD_SRC_VM_SEARCHER_H_
 #define ESD_SRC_VM_SEARCHER_H_
 
@@ -75,22 +75,6 @@ class RandomPathSearcher : public Searcher {
  private:
   std::vector<StatePtr> states_;
   std::vector<double> weights_;  // Select() scratch, reused across calls.
-  std::mt19937_64 rng_;
-};
-
-// Uniform-random over live states.
-class RandomStateSearcher : public Searcher {
- public:
-  explicit RandomStateSearcher(uint64_t seed) : rng_(seed) {}
-
-  void Add(StatePtr state) override { states_.push_back(std::move(state)); }
-  void Remove(const StatePtr& state) override;
-  StatePtr Select() override;
-  bool Empty() const override { return states_.empty(); }
-  size_t Size() const override { return states_.size(); }
-
- private:
-  std::vector<StatePtr> states_;
   std::mt19937_64 rng_;
 };
 

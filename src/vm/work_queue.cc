@@ -45,8 +45,8 @@ bool SharedFrontier::TryDrainOwn(size_t worker, std::vector<StatePtr>* out) {
   return true;
 }
 
-WorkQueue::AcquireResult SharedFrontier::Acquire(size_t worker,
-                                                 std::vector<StatePtr>* out) {
+SharedFrontier::AcquireResult SharedFrontier::Acquire(size_t worker,
+                                                      std::vector<StatePtr>* out) {
   if (TryDrainOwn(worker, out)) {
     return AcquireResult::kGot;
   }

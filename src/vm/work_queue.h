@@ -1,8 +1,7 @@
-// ESD VM: the cooperative portfolio's shared partitioned frontier.
+// ESD VM: the parallel portfolio's shared partitioned frontier.
 //
-// In cooperative mode (SynthesisOptions::cooperative, jobs > 1) the N
-// portfolio workers drain ONE logical frontier instead of racing N
-// decorrelated copies of the same search. The frontier is partitioned by
+// With jobs > 1 the N portfolio workers drain ONE logical frontier instead
+// of searching N copies of the same space. The frontier is partitioned by
 // fork-fingerprint ownership hashing: when a worker registers a schedule or
 // branch fork, the child's 64-bit state fingerprint mod N names its home
 // worker, and children whose home is another worker are handed off through
@@ -23,10 +22,6 @@
 // (AcquireResult::kRetry). The count is incremented before a state becomes
 // reachable by any peer and decremented only after its forks were absorbed,
 // so it cannot transiently read zero while work remains.
-//
-// The interface is abstract so tests can instrument the steal protocol
-// (tests/portfolio_test.cc drives a barrier-instrumented fake through the
-// steal-race window); SharedFrontier is the production implementation.
 #ifndef ESD_SRC_VM_WORK_QUEUE_H_
 #define ESD_SRC_VM_WORK_QUEUE_H_
 
@@ -43,9 +38,12 @@
 
 namespace esd::vm {
 
-// Cross-worker state-transfer surface for the cooperative portfolio. All
-// methods are thread-safe; `worker` parameters name the calling worker.
-class WorkQueue {
+// Cross-worker state-transfer surface: one mutex-protected deque per worker
+// plus the atomic in-flight count. Deque mutexes are uncontended in steady
+// state (the owner absorbs in bursts; remote pushes touch only the home's
+// lock). All methods are thread-safe; `worker` parameters name the calling
+// worker.
+class SharedFrontier {
  public:
   // Outcome of an idle worker's attempt to acquire more work.
   enum class AcquireResult : uint8_t {
@@ -57,52 +55,36 @@ class WorkQueue {
                // kLimitReached instead of spinning until the time cap.
   };
 
-  virtual ~WorkQueue() = default;
+  explicit SharedFrontier(size_t workers, uint64_t seed = 0x9e3779b97f4a7c15ull);
 
   // Routes a fork to its home worker's deque. Called by the worker that
   // created (and fingerprint-registered) the fork; `home` != the caller.
   // Counts the state in flight.
-  virtual void PushRemote(size_t home, StatePtr state) = 0;
+  void PushRemote(size_t home, StatePtr state);
 
   // Accounts a fork the creating worker keeps in its own searcher (home ==
   // creator, no deque trip). Counts the state in flight.
-  virtual void NoteLocalKeep() = 0;
+  void NoteLocalKeep();
 
   // Moves every state currently routed to `worker` into `out` (newest
   // last). Returns false without locking when the deque is empty — cheap
   // enough for the engine to poll every iteration.
-  virtual bool TryDrainOwn(size_t worker, std::vector<StatePtr>* out) = 0;
+  bool TryDrainOwn(size_t worker, std::vector<StatePtr>* out);
 
   // Idle-worker path: drain own deque, else steal the oldest state from a
   // random victim, else report why nothing was acquired (see AcquireResult).
-  virtual AcquireResult Acquire(size_t worker, std::vector<StatePtr>* out) = 0;
+  AcquireResult Acquire(size_t worker, std::vector<StatePtr>* out);
 
   // A state finished (ran to completion, was pruned at a sync point, or
   // hit a bug): removes it from the in-flight count.
-  virtual void FinishOne() = 0;
+  void FinishOne();
 
   // The calling worker is exiting on a budget limit with states possibly
   // still queued; idle peers must stop spinning (Acquire returns kAbort).
-  virtual void NoteLimit() = 0;
+  void NoteLimit();
 
   // In-flight count, for tests and diagnostics.
-  virtual uint64_t InFlight() const = 0;
-};
-
-// Production frontier: one mutex-protected deque per worker plus the
-// atomic in-flight count. Deque mutexes are uncontended in steady state
-// (the owner absorbs in bursts; remote pushes touch only the home's lock).
-class SharedFrontier : public WorkQueue {
- public:
-  explicit SharedFrontier(size_t workers, uint64_t seed = 0x9e3779b97f4a7c15ull);
-
-  void PushRemote(size_t home, StatePtr state) override;
-  void NoteLocalKeep() override;
-  bool TryDrainOwn(size_t worker, std::vector<StatePtr>* out) override;
-  AcquireResult Acquire(size_t worker, std::vector<StatePtr>* out) override;
-  void FinishOne() override;
-  void NoteLimit() override;
-  uint64_t InFlight() const override;
+  uint64_t InFlight() const;
 
  private:
   struct Partition {

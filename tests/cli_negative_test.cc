@@ -259,33 +259,24 @@ TEST_F(CliNegativeTest, EsdservedNegativePaths) {
   EXPECT_NE(r.stderr_text.find("dropped"), std::string::npos) << r.stderr_text;
 }
 
-TEST_F(CliNegativeTest, DedupPrivateInCooperativeModeWarnsOnce) {
-  // Cooperative jobs > 1 (the default) always shares the fingerprint table,
-  // so --dedup-private is ignored there: the combination must say so on
-  // stderr instead of silently no-opping. The warning precedes program
-  // loading, so a missing input still yields warning + one error line.
-  std::string base = Tool("esdsynth") + " " + dir_ + "/absent.esd " + dir_ +
-                     "/absent.core";
-  RunResult warned = RunCommand(base + " --jobs 2 --dedup-private");
-  EXPECT_GT(warned.exit_code, 0);
-  EXPECT_NE(warned.stderr_text.find("--dedup-private is ignored in cooperative"),
-            std::string::npos)
-      << warned.stderr_text;
-  EXPECT_EQ(LineCount(warned.stderr_text), 2u)
-      << "expected exactly the warning plus the error line, got:\n"
-      << warned.stderr_text;
-
-  // With the racing portfolio the flag takes effect: no warning.
-  RunResult racing = RunCommand(base + " --jobs 2 --dedup-private --race-portfolio");
-  EXPECT_EQ(racing.stderr_text.find("ignored"), std::string::npos)
-      << racing.stderr_text;
-  EXPECT_EQ(LineCount(racing.stderr_text), 1u) << racing.stderr_text;
-
-  // jobs == 1: the private table is the only table — no warning either.
-  RunResult single = RunCommand(base + " --dedup-private");
-  EXPECT_EQ(single.stderr_text.find("ignored"), std::string::npos)
-      << single.stderr_text;
-  EXPECT_EQ(LineCount(single.stderr_text), 1u) << single.stderr_text;
+TEST_F(CliNegativeTest, RemovedPortfolioFlagsAreUnknownOptions) {
+  // One search driver serves every --jobs value, so the racing-portfolio
+  // and private-table switches are gone: each is an unknown option, with
+  // exit 2 and the usual one-line error naming it.
+  const std::string synth = Tool("esdsynth") + " " + program_ + " " + bad_core_;
+  const std::string fuzz = Tool("esdfuzz");
+  const std::pair<std::string, std::string> kRemoved[] = {
+      {synth, "--race-portfolio"}, {synth, "--cooperative"},
+      {synth, "--dedup-private"},  {fuzz, "--race-portfolio"},
+      {fuzz, "--cooperative"},
+  };
+  for (const auto& [tool, flag] : kRemoved) {
+    RunResult r = ExpectOneLineFailure(tool + " --jobs 2 " + flag);
+    EXPECT_EQ(r.exit_code, 2) << flag;
+    EXPECT_NE(r.stderr_text.find("unknown option or missing argument: '" + flag + "'"),
+              std::string::npos)
+        << flag << "\nstderr was:\n" << r.stderr_text;
+  }
 }
 
 TEST_F(CliNegativeTest, FailedSynthesisLeavesNoPartialOutput) {

@@ -1,24 +1,30 @@
-// Tests for the parallel portfolio synthesis engine: jobs == 1 must stay
-// identical to the classic single-threaded engine, jobs > 1 must synthesize
+// Tests for the search driver (src/core/portfolio.h): jobs == 1 must keep
+// its recorded search, counts and execution file, jobs > 1 must synthesize
 // valid, replayable execution files for deadlock and race workloads under
-// cooperative cancellation and shared budgets — in both the cooperative
-// work-stealing mode (the jobs > 1 default) and the racing mode
-// (--race-portfolio). The CooperativeFrontier suite pins the work-stealing
-// termination protocol itself (src/vm/work_queue.h), including the
-// steal-race window where every deque is empty while states are still in
-// flight.
+// cancellation and shared budgets, and the shared budgets must stop one
+// engine exactly where its own budgets do. The CooperativeFrontier suite
+// pins the work-stealing termination protocol itself
+// (src/vm/work_queue.h), including the steal-race window where every deque
+// is empty while states are still in flight.
 #include <gtest/gtest.h>
 
 #include <atomic>
 #include <latch>
+#include <memory>
 #include <thread>
 #include <vector>
 
 #include "src/core/event_counters.h"
+#include "src/core/goal.h"
+#include "src/core/search_setup.h"
 #include "src/core/synthesizer.h"
 #include "src/replay/replayer.h"
 #include "src/solver/solver.h"
+#include "src/vm/engine.h"
+#include "src/vm/fingerprint.h"
 #include "src/vm/interpreter.h"
+#include "src/vm/race_detector.h"
+#include "src/vm/searcher.h"
 #include "src/vm/work_queue.h"
 #include "src/workloads/workloads.h"
 
@@ -50,25 +56,25 @@ void ExpectReplayReproduces(const Workload& w, const core::SynthesisResult& resu
       << "' (" << strict.bug.message << ") wanted " << result.file.bug_kind;
 }
 
-// --- jobs == 1 must match the classic engine exactly -----------------------
+// --- jobs == 1 must keep its recorded search exactly ------------------------
 
 TEST(Portfolio, SingleJobMatchesClassicEngine) {
   Workload w = MakeWorkload("listing1");
-  core::SynthesisOptions defaults;  // jobs defaults to 1.
-  core::SynthesisResult classic = SynthesizeWorkload(w, defaults);
-  ASSERT_TRUE(classic.success) << classic.failure_reason;
-
-  core::SynthesisOptions explicit_one;
-  explicit_one.jobs = 1;
-  core::SynthesisResult single = SynthesizeWorkload(w, explicit_one);
+  core::SynthesisOptions options;
+  options.jobs = 1;
+  core::SynthesisResult single = SynthesizeWorkload(w, options);
   ASSERT_TRUE(single.success) << single.failure_reason;
 
-  // Same seed, same strategy: the searches are deterministic and must agree
-  // step for step, and the synthesized executions must be identical.
-  EXPECT_EQ(single.instructions, classic.instructions);
-  EXPECT_EQ(single.states_created, classic.states_created);
-  EXPECT_EQ(single.solver.queries, classic.solver.queries);
-  EXPECT_EQ(replay::Fingerprint(single.file), replay::Fingerprint(classic.file));
+  // listing1's jobs == 1 search, pinned. It is deterministic, so anything
+  // parallel-only leaking into the single-worker set-up shows up here: a
+  // changed step changes the states, instructions or solver queries, a
+  // root forked from a pinned prototype changes the COW page copies, and
+  // any of them changes the execution file.
+  EXPECT_EQ(single.states_created, 22u);
+  EXPECT_EQ(single.instructions, 146u);
+  EXPECT_EQ(single.solver.queries, 7u);
+  EXPECT_EQ(single.counters.pages_copied, 8u);
+  EXPECT_EQ(replay::Fingerprint(single.file), "bfb254b005f5cd40");
   EXPECT_TRUE(single.workers.empty());
   EXPECT_EQ(single.winning_worker, -1);
 }
@@ -158,6 +164,66 @@ TEST(Portfolio, SharedInstructionBudgetStopsAllWorkers) {
   }
 }
 
+// One engine under the schedule strategy of `w`'s goal, breadth-first, with
+// `max_states` live states and a small instruction budget. With `shared`,
+// the run-wide counters are wired with the same budgets, as the driver
+// wires them for every worker.
+vm::Engine::Result RunOneEngine(const Workload& w, const report::CoreDump& dump,
+                                size_t max_states, bool shared) {
+  core::Goal goal = core::ExtractGoal(*w.module, dump);
+  solver::ConstraintSolver solver;
+  vm::RaceDetector races;
+  bool want_races = false;
+  std::unique_ptr<vm::SchedulePolicy> policy =
+      core::MakeSchedulePolicy(goal, false, &races, &want_races, true);
+  vm::Interpreter::Options iopts;
+  iopts.policy = policy.get();
+  iopts.race_detector = want_races ? &races : nullptr;
+  vm::Interpreter interpreter(w.module.get(), &solver, iopts);
+  vm::BfsSearcher searcher;
+  vm::FingerprintTable visited;
+  vm::Engine::Options eopts;
+  // Small enough that the shared counters are flushed and checked every 64
+  // instructions, so a shared check that stops early has chances to fire.
+  eopts.max_instructions = 512;
+  eopts.max_states = max_states;
+  eopts.visited = &visited;
+  std::atomic<uint64_t> shared_instructions{0};
+  std::atomic<uint64_t> shared_states{0};
+  if (shared) {
+    eopts.shared_instructions = &shared_instructions;
+    eopts.shared_max_instructions = eopts.max_instructions;
+    eopts.shared_states = &shared_states;
+    eopts.shared_max_states = max_states;
+  }
+  vm::Engine engine(&interpreter, &searcher, eopts);
+  engine.Start(interpreter.MakeInitialState(*w.module->FindFunction("main"),
+                                            interpreter.AllocStateId()));
+  return engine.Run([&goal](const vm::ExecutionState& state, const vm::BugInfo& bug) {
+    return core::GoalMatches(goal, state, bug);
+  });
+}
+
+TEST(Portfolio, SharedBudgetsStopOneEngineWhereItsOwnBudgetsDo) {
+  // The driver wires the shared budgets at every `jobs`, so for one worker
+  // they must be invisible: the same verdict, states and instructions as
+  // the engine's own budgets alone, at every live-state budget.
+  for (const char* name : {"listing1", "sqlite"}) {
+    Workload w = MakeWorkload(name);
+    auto dump = CaptureDump(*w.module, w.trigger);
+    ASSERT_TRUE(dump.has_value()) << name;
+    for (size_t max_states = 1; max_states <= 64; ++max_states) {
+      vm::Engine::Result local = RunOneEngine(w, *dump, max_states, false);
+      vm::Engine::Result shared = RunOneEngine(w, *dump, max_states, true);
+      EXPECT_EQ(shared.status, local.status) << name << " max_states " << max_states;
+      EXPECT_EQ(shared.states_created, local.states_created)
+          << name << " max_states " << max_states;
+      EXPECT_EQ(shared.instructions, local.instructions)
+          << name << " max_states " << max_states;
+    }
+  }
+}
+
 TEST(Portfolio, LosersReportCancelledOrFinished) {
   Workload w = MakeWorkload("listing1");
   core::SynthesisOptions options;
@@ -178,12 +244,12 @@ TEST(Portfolio, LosersReportCancelledOrFinished) {
   }
 }
 
-// --- Cooperative mode (the jobs > 1 default) ---------------------------------
+// --- The shared frontier -----------------------------------------------------
 
 TEST(Portfolio, CooperativeSynthesizesAndHandsOff) {
   Workload w = MakeWorkload("listing1");
   core::SynthesisOptions options;
-  options.jobs = 4;  // cooperative defaults to true.
+  options.jobs = 4;
   core::SynthesisResult result = SynthesizeWorkload(w, options);
   ASSERT_TRUE(result.success) << result.failure_reason;
   EXPECT_EQ(result.bug.kind, vm::BugInfo::Kind::kDeadlock);
@@ -196,23 +262,6 @@ TEST(Portfolio, CooperativeSynthesizesAndHandsOff) {
   }
   EXPECT_GT(result.counters.states_handed_off, 0u)
       << "fingerprint-mod-N routing never moved a fork between workers";
-}
-
-TEST(Portfolio, RacingModeStillDiversifies) {
-  Workload w = MakeWorkload("listing1");
-  core::SynthesisOptions options;
-  options.jobs = 3;
-  options.cooperative = false;  // --race-portfolio
-  core::SynthesisResult result = SynthesizeWorkload(w, options);
-  ASSERT_TRUE(result.success) << result.failure_reason;
-  ExpectReplayReproduces(w, result);
-  // The racing portfolio keeps its strategy spread: proximity sweeps plus
-  // the random-path baseline slot in the last position.
-  ASSERT_EQ(result.workers.size(), 3u);
-  EXPECT_EQ(result.workers[2].strategy.rfind("random-path", 0), 0u)
-      << result.workers[2].strategy;
-  EXPECT_EQ(result.counters.states_handed_off, 0u);
-  EXPECT_EQ(result.counters.steals, 0u);
 }
 
 TEST(Portfolio, CooperativeSynthesizesRace) {
@@ -251,7 +300,7 @@ struct FrontierFixture {
   vm::StatePtr root;
 };
 
-using AcquireResult = vm::WorkQueue::AcquireResult;
+using AcquireResult = vm::SharedFrontier::AcquireResult;
 
 TEST(CooperativeFrontier, EmptyDequesWithWorkInFlightMustNotDrain) {
   FrontierFixture fx;

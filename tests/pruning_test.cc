@@ -428,24 +428,6 @@ TEST(Pruning, DeadlockSynthesisStillReplaysAndExploresLess) {
                                 << vm::BugKindName(r.bug.kind) << "'";
 }
 
-TEST(Pruning, PortfolioSharedAndPrivateTablesBothWork) {
-  workloads::Workload w = workloads::MakeWorkload("listing1");
-  auto dump = workloads::CaptureDump(*w.module, w.trigger);
-  ASSERT_TRUE(dump.has_value());
-  for (bool shared : {true, false}) {
-    core::SynthesisOptions options;
-    options.jobs = 3;
-    options.dedup_shared = shared;
-    core::SynthesisResult result =
-        core::Synthesizer(w.module.get(), options).Synthesize(*dump);
-    ASSERT_TRUE(result.success)
-        << (shared ? "shared" : "private") << ": " << result.failure_reason;
-    replay::ReplayResult r =
-        replay::Replay(*w.module, result.file, replay::ReplayMode::kStrict);
-    EXPECT_TRUE(r.bug_reproduced);
-  }
-}
-
 // ---- Race sites and the shared visited table --------------------------------
 //
 // The race strategy forks only at sites the lockset detector has flagged,

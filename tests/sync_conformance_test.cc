@@ -132,9 +132,8 @@ TEST_P(SyncConformanceTest, PruningOnAndWeakenedAgree) {
   EXPECT_LE(full.states_created, open.states_created * 2 + 64) << c.name;
 }
 
-// Cooperative work-stealing frontier (the jobs > 1 default): all four
-// workers drain one logical frontier, children are routed by fingerprint
-// to home workers, idle workers steal.
+// Four workers draining one logical frontier: children are routed by
+// fingerprint to home workers, idle workers steal.
 TEST_P(SyncConformanceTest, PortfolioJobs4FindsBug) {
   const MatrixCase& c = GetParam();
   workloads::Workload w = workloads::MakeWorkload(c.name);
@@ -148,24 +147,6 @@ TEST_P(SyncConformanceTest, PortfolioJobs4FindsBug) {
   replay::ReplayResult strict =
       replay::Replay(*w.module, r.file, replay::ReplayMode::kStrict);
   EXPECT_TRUE(strict.bug_reproduced) << c.name << " (jobs=4)";
-}
-
-// The --race-portfolio opt-out: four independent diversified workers, no
-// handoff. Kept conformance-covered now that it is no longer the default.
-TEST_P(SyncConformanceTest, RacingPortfolioJobs4FindsBug) {
-  const MatrixCase& c = GetParam();
-  workloads::Workload w = workloads::MakeWorkload(c.name);
-  auto dump = MakeDump(w);
-  ASSERT_TRUE(dump.has_value()) << c.name;
-  core::SynthesisOptions options;
-  options.jobs = 4;
-  options.cooperative = false;
-  core::SynthesisResult r = Synthesize(w, *dump, options);
-  ASSERT_TRUE(r.success) << c.name << " (racing jobs=4): " << r.failure_reason;
-  EXPECT_EQ(r.bug.kind, c.expected) << c.name;
-  replay::ReplayResult strict =
-      replay::Replay(*w.module, r.file, replay::ReplayMode::kStrict);
-  EXPECT_TRUE(strict.bug_reproduced) << c.name << " (racing jobs=4)";
 }
 
 INSTANTIATE_TEST_SUITE_P(SyncSurface, SyncConformanceTest,

@@ -1,7 +1,7 @@
 // esdfuzz: scenario fuzzing for the synthesis engine.
 //
 //   esdfuzz [--seeds N] [--seed-base S] [--kind deadlock|race|crash|mixed]
-//           [--jobs N] [--cooperative | --race-portfolio]
+//           [--jobs N]
 //           [--time-cap SECONDS] [--no-ablations] [--no-ir-opt]
 //           [--no-store-buffer] [--shrink] [--out-dir DIR]
 //           [--inject-kind-mismatch] [--emit-corpus DIR]
@@ -42,11 +42,9 @@ void Usage(std::ostream& os = std::cerr) {
      << "                     sem-lost-signal | barrier-mismatch |\n"
      << "                     treiber-aba | spsc-fence | mixed\n"
      << "                     (default mixed: kind cycles with the seed)\n"
-     << "  --jobs N           portfolio width for each synthesis run\n"
+     << "  --jobs N           search workers for each synthesis run,\n"
+     << "                     sharing one work-stealing frontier\n"
      << "                     (default 1)\n"
-     << "  --cooperative      with --jobs N: cooperative work-stealing\n"
-     << "                     portfolio (default for N > 1)\n"
-     << "  --race-portfolio   with --jobs N: racing portfolio instead\n"
      << "  --time-cap SECONDS per-synthesis budget (default 30)\n"
      << "  --no-ablations     skip the pruning-off / solver-pipeline-off /\n"
      << "                     ir-opt-off agreement runs\n"
@@ -116,10 +114,6 @@ int main(int argc, char** argv) {
                                 tools::kMaxJobs)) {
         return 2;
       }
-    } else if (arg == "--cooperative") {
-      oracle.cooperative = true;
-    } else if (arg == "--race-portfolio") {
-      oracle.cooperative = false;
     } else if (arg == "--time-cap" && i + 1 < argc) {
       if (!tools::ParseSeconds(arg, argv[++i], &oracle.time_cap_seconds)) {
         return 2;

@@ -1,10 +1,9 @@
 // esdsynth: synthesize a bug-bound execution from a coredump (§8).
 //
 //   esdsynth <program.esd> <coredump> [-o exec.out] [--time-cap SECONDS]
-//            [--jobs N] [--cooperative | --race-portfolio]
-//            [--with-race-det] [--no-proximity]
+//            [--jobs N] [--with-race-det] [--no-proximity]
 //            [--no-intermediate-goals] [--no-critical-edges] [--seed N]
-//            [--dedup | --no-dedup] [--dedup-private] [--no-sleep-sets]
+//            [--dedup | --no-dedup] [--no-sleep-sets]
 //            [--no-store-buffer]
 //            [--no-solver-slice] [--no-solver-range]
 //            [--no-solver-incremental] [--no-solver-pipeline]
@@ -34,15 +33,10 @@ void Usage(std::ostream& os = std::cerr) {
      << " (default execution.esdx)\n"
      << "  --time-cap SECONDS      give up after this much wall-clock time"
      << " (default 180)\n"
-     << "  --jobs N                run N parallel search workers.\n"
-     << "                          1 = classic single-threaded engine\n"
-     << "  --cooperative           with --jobs N: all workers drain one\n"
-     << "                          work-stealing frontier — forks are routed\n"
-     << "                          by fingerprint ownership, idle workers\n"
-     << "                          steal from busy peers (default for N > 1)\n"
-     << "  --race-portfolio        with --jobs N: race N independent\n"
-     << "                          frontiers with diversified strategies;\n"
-     << "                          first to the goal wins\n"
+     << "  --jobs N                run N search workers (default 1). They\n"
+     << "                          drain one work-stealing frontier: forks\n"
+     << "                          are routed by fingerprint ownership, idle\n"
+     << "                          workers steal from busy peers\n"
      << "  --seed N                search RNG seed (default 1)\n"
      << "  --with-race-det         run the lockset race detector even for\n"
      << "                          non-race bug classes\n"
@@ -50,10 +44,6 @@ void Usage(std::ostream& os = std::cerr) {
      << "                          whose fingerprint (pcs, memory, sync\n"
      << "                          state, constraints) was already explored\n"
      << "                          (default on)\n"
-     << "  --dedup-private         with --jobs N: per-worker fingerprint\n"
-     << "                          tables instead of one shared table\n"
-     << "                          (race-portfolio mode only; cooperative\n"
-     << "                          mode always shares the table)\n"
      << "  --no-store-buffer       ablation: commit atomic stores in program\n"
      << "                          order instead of buffering relaxed stores\n"
      << "                          per thread (TSO store-buffer reordering,\n"
@@ -123,18 +113,12 @@ int main(int argc, char** argv) {
                                 tools::kMaxJobs)) {
         return 2;
       }
-    } else if (arg == "--cooperative") {
-      options.cooperative = true;
-    } else if (arg == "--race-portfolio") {
-      options.cooperative = false;
     } else if (arg == "--with-race-det") {
       options.enable_race_detection = true;
     } else if (arg == "--dedup") {
       options.dedup = true;
     } else if (arg == "--no-dedup") {
       options.dedup = false;
-    } else if (arg == "--dedup-private") {
-      options.dedup_shared = false;
     } else if (arg == "--no-store-buffer") {
       options.store_buffer = false;
     } else if (arg == "--no-sleep-sets") {
@@ -168,12 +152,6 @@ int main(int argc, char** argv) {
       std::cerr << "error: unknown option or missing argument: '" << arg << "' (try --help)\n";
       return 2;
     }
-  }
-
-  if (!options.dedup_shared && options.jobs > 1 && options.cooperative) {
-    std::cerr << "esdsynth: warning: --dedup-private is ignored in cooperative "
-                 "mode (the work-stealing frontier shares one fingerprint "
-                 "table); combine it with --race-portfolio to take effect\n";
   }
 
   auto module = tools::LoadProgram(program_path);
