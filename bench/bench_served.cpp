@@ -3,8 +3,8 @@
 // daemon is "restarted" (a fresh Server over the same directory, verdict
 // reuse off so every job really searches) and the corpus is submitted
 // again. The warm pass must agree with the cold pass on every verdict and
-// fingerprint, must hit the persisted caches (solver entries preloaded,
-// distance tables restored), and — outside smoke mode — must be faster.
+// fingerprint, must use the persisted solver cache (entries preloaded or
+// hit), and — outside smoke mode — must be faster.
 //
 // Emits BENCH_served.json with two perf-trajectory records, `served-cold`
 // and `served-warm`, whose states_per_sec field carries jobs/second (the
@@ -88,8 +88,8 @@ int main() {
     params.kind = kKinds[i % (sizeof(kKinds) / sizeof(kKinds[0]))];
     params.seed = 20'000 + i;
     // Heavier than the fuzz defaults: the input-mix/branch noise puts real
-    // work into the solver and distance phases, so the warm pass's cache
-    // hits show up as wall-clock, not noise (measured ~1.4x cold/warm).
+    // work into the solver, so the warm pass's cache hits show up as
+    // wall-clock, not noise (measured ~1.4x cold/warm).
     params.noise_per_thread = 8;
     fuzz::GeneratedProgram program = fuzz::Generate(params);
     serve::Job job;
@@ -140,15 +140,13 @@ int main() {
   double calib_ops =
       calib_best > 0.0 ? static_cast<double>(1 << 16) / calib_best : 0.0;
 
-  std::printf("pass   jobs  repro  sec      jobs/s   solver-hits  dist-restored  dup\n");
+  std::printf("pass   jobs  repro  sec      jobs/s   solver-hits  dup\n");
   auto row = [&](const char* name, const PassOutcome& p) {
-    std::printf("%-6s %4llu  %5llu  %-8.3f %-8.2f %-12llu %-14llu %llu\n", name,
+    std::printf("%-6s %4llu  %5llu  %-8.3f %-8.2f %-12llu %llu\n", name,
                 static_cast<unsigned long long>(jobs.size()),
                 static_cast<unsigned long long>(p.reproduced), p.seconds,
                 p.seconds > 0 ? jobs.size() / p.seconds : 0.0,
                 static_cast<unsigned long long>(p.stats.solver_shared_hits),
-                static_cast<unsigned long long>(
-                    p.stats.distance_tables_restored),
                 static_cast<unsigned long long>(p.stats.duplicate_bugs));
   };
   row("cold", cold);
@@ -163,7 +161,6 @@ int main() {
     ok = false;
   }
   uint64_t warm_hits = warm.stats.solver_shared_hits +
-                       warm.stats.distance_tables_restored +
                        warm.stats.solver_entries_preloaded;
   if (warm_hits == 0) {
     std::fprintf(stderr, "FAIL: warm pass hit no persisted cache\n");

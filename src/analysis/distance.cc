@@ -78,7 +78,7 @@ struct GoalDistPolicy {
 
 DistanceCalculator::DistanceCalculator(const ir::Module* module,
                                        AnalysisContext* ctx)
-    : module_(module), module_digest_(ir::ModuleDigest(*module)), ctx_(ctx) {
+    : module_(module), ctx_(ctx) {
   if (ctx_ == nullptr) {
     owned_ctx_ = std::make_unique<AnalysisContext>(module);
     ctx_ = owned_ctx_.get();
@@ -489,44 +489,8 @@ bool DistanceCalculator::ThreadCanReachGoal(const std::vector<ir::InstRef>& stac
   return false;
 }
 
-DistanceCalculator::Snapshot DistanceCalculator::Export() const {
-  std::lock_guard<std::recursive_mutex> lock(mu_);
-  Snapshot snap;
-  snap.module_digest = module_digest_;
-  snap.costs = costs_;
-  snap.function_cost = function_cost_;
-  snap.goal_tables = goal_tables_;
-  snap.entry_dists = entry_dists_;
-  // Overflow tables (filled after sealing, for un-prewarmed goals) are real
-  // computed results; merge them so the next run starts hot on them too.
-  for (const auto& [goal, per_func] : overflow_goal_tables_) {
-    auto& into = snap.goal_tables[goal];
-    into.insert(per_func.begin(), per_func.end());
-  }
-  for (const auto& [goal, dists] : overflow_entry_dists_) {
-    snap.entry_dists.emplace(goal, dists);
-  }
-  return snap;
-}
-
-bool DistanceCalculator::Restore(const Snapshot& snapshot) {
-  if (snapshot.module_digest != module_digest_) {
-    return false;  // Tables for a different module: stale, regenerate.
-  }
-  std::lock_guard<std::recursive_mutex> lock(mu_);
-  if (Sealed()) {
-    return false;  // Too late: queries may already be running lock-free.
-  }
-  costs_ = snapshot.costs;
-  function_cost_ = snapshot.function_cost;
-  goal_tables_ = snapshot.goal_tables;
-  entry_dists_ = snapshot.entry_dists;
-  restored_tables_ = 0;
-  for (const auto& [goal, per_func] : goal_tables_) {
-    restored_tables_ += per_func.size();
-  }
-  restored_tables_ += costs_.size();
-  return true;
+uint64_t DistanceCalculator::module_digest() const {
+  return ir::ModuleDigest(*module_);
 }
 
 const DistanceCalculator::FuncCosts& DistanceCalculator::CostsForTest(

@@ -124,37 +124,9 @@ class DistanceCalculator {
     std::vector<uint64_t> inst_dist;
   };
 
-  // Content digest of the module the tables are computed over (computed
-  // once at construction; see ir::ModuleDigest). This is the
-  // module-identity key for every exported or restored snapshot: two
-  // modules with colliding function ids but different bodies digest
-  // differently, so restoring one's tables into the other is rejected
-  // instead of silently serving stale distances.
-  uint64_t module_digest() const { return module_digest_; }
-
-  // A serializable image of the primary distance caches, keyed by the
-  // module digest they were computed over.
-  struct Snapshot {
-    uint64_t module_digest = 0;
-    std::map<uint32_t, FuncCosts> costs;
-    std::map<uint32_t, uint64_t> function_cost;
-    std::map<ir::InstRef, std::map<uint32_t, GoalTable>> goal_tables;
-    std::map<ir::InstRef, std::map<uint32_t, uint64_t>> entry_dists;
-  };
-
-  // Exports every computed table (primary and overflow merged). Safe after
-  // the search finished (no concurrent fills).
-  Snapshot Export() const;
-
-  // Seeds the lazy caches from a snapshot, so a search over the same module
-  // starts with its tables hot. Must run before any query or Prewarm (the
-  // caches must still be cold). Returns false — restoring nothing — when
-  // the snapshot's digest does not match this module: tables computed over
-  // a different module would be stale, the exact bug this key prevents.
-  bool Restore(const Snapshot& snapshot);
-
-  // Tables restored by the last successful Restore (reuse reporting).
-  uint64_t restored_tables() const { return restored_tables_; }
+  // Content digest of the module the tables are computed over (see
+  // ir::ModuleDigest). Computed on each call, since no search needs it.
+  uint64_t module_digest() const;
 
   // Cost of the "opportunity" at one instruction: 0 at the goal itself,
   // 1 + E(callee) at calls that lead toward the goal, infinite otherwise.
@@ -201,8 +173,6 @@ class DistanceCalculator {
   }
 
   const ir::Module* module_;
-  uint64_t module_digest_ = 0;
-  uint64_t restored_tables_ = 0;
   // Shared analysis artifacts (CFG cache, def indexes). Owned when the
   // caller did not pass a context of its own.
   std::unique_ptr<AnalysisContext> owned_ctx_;

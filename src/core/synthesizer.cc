@@ -57,22 +57,6 @@ SynthesisResult Synthesizer::SynthesizeGoal(const Goal& goal) {
   // goals. Computed once over the search module and shared by every
   // worker.
   analysis::DistanceCalculator distances(search_module);
-  // Service hooks: restore persisted tables while the caches are still cold
-  // (a digest mismatch restores nothing), and export them — on every exit
-  // path — once the search is over.
-  if (options_.on_distances_ready) {
-    options_.on_distances_ready(distances);
-  }
-  result.distance_tables_restored = distances.restored_tables();
-  struct DistancesDoneGuard {
-    const SynthesisOptions* options;
-    analysis::DistanceCalculator* distances;
-    ~DistancesDoneGuard() {
-      if (options->on_distances_done) {
-        options->on_distances_done(*distances);
-      }
-    }
-  } distances_done{&options_, &distances};
   std::vector<ProximitySearcher::SearchGoal> search_goals =
       BuildSearchGoals(*search_module, distances, goal,
                        options_.use_intermediate_goals,

@@ -6,13 +6,17 @@
 // manifests the reported bug, then solve the path constraints into concrete
 // inputs and emit the execution file for playback.
 //
+// Every search builds its own distance tables over the module it searches:
+// lazily at jobs == 1, prewarmed at jobs > 1 (portfolio.h). Nothing outside
+// the search reads or seeds them; the service reuses only solver answers
+// and prior executions (the hooks at the end of SynthesisOptions).
+//
 // The options toggles exist for the ablation study (bench_ablation): each
 // disables one of the three §3.3 focusing techniques.
 #ifndef ESD_SRC_CORE_SYNTHESIZER_H_
 #define ESD_SRC_CORE_SYNTHESIZER_H_
 
 #include <cstdint>
-#include <functional>
 #include <memory>
 #include <string>
 #include <vector>
@@ -23,10 +27,6 @@
 #include "src/replay/execution_file.h"
 #include "src/report/coredump.h"
 #include "src/solver/solver.h"
-
-namespace esd::analysis {
-class DistanceCalculator;  // distance.h
-}
 
 namespace esd::core {
 
@@ -96,13 +96,6 @@ struct SynthesisOptions {
   // deviating states fall back to the configured strategy, so a stale seed
   // degrades to a cold search instead of misleading it.
   const replay::ExecutionFile* seed_schedule = nullptr;
-  // Called right after the DistanceCalculator over the search module is
-  // built, before any query: the service restores persisted tables here
-  // (rejected internally on module-digest mismatch).
-  std::function<void(analysis::DistanceCalculator&)> on_distances_ready;
-  // Called when the search is done, before the calculator is destroyed:
-  // the service exports the (now warm) tables for persistence.
-  std::function<void(analysis::DistanceCalculator&)> on_distances_done;
 };
 
 // Per-worker accounting for a parallel run (`jobs` > 1).
@@ -167,11 +160,10 @@ struct SynthesisResult {
   int winning_worker = -1;
 
   // Incremental re-synthesis accounting (seed_schedule runs only): switch
-  // points in the seed schedule, the longest prefix of it any live state
-  // replayed, and the distance tables Restore() seeded before the search.
+  // points in the seed schedule, and the longest prefix of it any live
+  // state replayed.
   uint64_t seed_switches = 0;
   uint64_t seed_best_prefix = 0;
-  uint64_t distance_tables_restored = 0;
 };
 
 class Synthesizer {

@@ -1,7 +1,6 @@
 #include "src/serve/cache_io.h"
 
 #include <cstdio>
-#include <set>
 #include <sstream>
 
 namespace esd::serve {
@@ -128,30 +127,6 @@ class LineReader {
   std::string* error_;
   size_t line_no_ = 0;
 };
-
-bool ReadU64List(std::istringstream& ls, std::vector<uint64_t>* out) {
-  uint64_t n = 0;
-  if (!(ls >> n)) {
-    return false;
-  }
-  out->clear();
-  out->reserve(n);
-  for (uint64_t i = 0; i < n; ++i) {
-    uint64_t v;
-    if (!(ls >> v)) {
-      return false;
-    }
-    out->push_back(v);
-  }
-  return true;
-}
-
-void WriteU64List(std::ostringstream& os, const std::vector<uint64_t>& v) {
-  os << " " << v.size();
-  for (uint64_t x : v) {
-    os << " " << x;
-  }
-}
 
 bool Trailing(std::istringstream& ls) {
   std::string extra;
@@ -288,224 +263,6 @@ std::optional<SolverCacheImage> ParseSolverCache(const std::string& text,
     return std::nullopt;
   }
   return image;
-}
-
-// ---- Distance tables --------------------------------------------------------
-
-std::string DistanceCacheToText(
-    const analysis::DistanceCalculator::Snapshot& snap) {
-  std::ostringstream os;
-  os << "esdcache dist v1\n";
-  os << "module " << Hex16(snap.module_digest) << "\n";
-  for (const auto& [func, fc] : snap.costs) {
-    auto it = snap.function_cost.find(func);
-    os << "func " << func << " "
-       << (it == snap.function_cost.end() ? analysis::kInfDistance : it->second)
-       << "\n";
-    os << "ic";
-    WriteU64List(os, fc.inst_cost);
-    os << "\nip";
-    WriteU64List(os, fc.inst_prefix);
-    os << "\nbc";
-    WriteU64List(os, fc.block_cost);
-    os << "\nbs";
-    WriteU64List(os, fc.block_start);
-    os << "\ned";
-    WriteU64List(os, fc.exit_dist);
-    os << "\n";
-  }
-  // Union of the goal-keyed maps, in InstRef order (both are std::map).
-  std::set<ir::InstRef> goals;
-  for (const auto& [goal, tables] : snap.goal_tables) {
-    goals.insert(goal);
-  }
-  for (const auto& [goal, dists] : snap.entry_dists) {
-    goals.insert(goal);
-  }
-  for (const ir::InstRef& goal : goals) {
-    os << "goal " << goal.func << " " << goal.block << " " << goal.inst << "\n";
-    os << "entry";
-    auto ed = snap.entry_dists.find(goal);
-    if (ed == snap.entry_dists.end()) {
-      os << " 0";
-    } else {
-      os << " " << ed->second.size();
-      for (const auto& [func, dist] : ed->second) {
-        os << " " << func << " " << dist;
-      }
-    }
-    os << "\n";
-    auto gt = snap.goal_tables.find(goal);
-    if (gt != snap.goal_tables.end()) {
-      for (const auto& [func, table] : gt->second) {
-        os << "table " << func;
-        WriteU64List(os, table.goal_dist);
-        WriteU64List(os, table.inst_dist);
-        os << "\n";
-      }
-    }
-  }
-  os << "end " << snap.costs.size() << " " << goals.size() << "\n";
-  return os.str();
-}
-
-std::optional<analysis::DistanceCalculator::Snapshot> ParseDistanceCache(
-    const std::string& text, uint64_t expected_digest, std::string* error) {
-  LineReader reader(text, error);
-  analysis::DistanceCalculator::Snapshot snap;
-  if (!reader.Header("dist", expected_digest, &snap.module_digest)) {
-    return std::nullopt;
-  }
-  std::string line;
-  bool saw_end = false;
-  // Section cursors: `ic/ip/bc/bs/ed` attach to the last `func`, `entry` and
-  // `table` to the last `goal`. The five cost rows must arrive in order.
-  analysis::DistanceCalculator::FuncCosts* cur_costs = nullptr;
-  int cost_rows = 0;
-  std::optional<ir::InstRef> cur_goal;
-  size_t goal_count = 0;
-  while (reader.Next(&line)) {
-    std::istringstream ls(line);
-    std::string word;
-    ls >> word;
-    if (word == "func") {
-      if (cur_costs != nullptr && cost_rows != 5) {
-        reader.Fail("func section truncated (expected 5 cost rows)");
-        return std::nullopt;
-      }
-      uint32_t func;
-      uint64_t fcost;
-      if (!(ls >> func >> fcost) || Trailing(ls)) {
-        reader.Fail("malformed func record");
-        return std::nullopt;
-      }
-      if (cur_goal.has_value()) {
-        reader.Fail("func record after goal sections");
-        return std::nullopt;
-      }
-      auto [it, inserted] = snap.costs.try_emplace(func);
-      if (!inserted) {
-        reader.Fail("duplicate func " + std::to_string(func));
-        return std::nullopt;
-      }
-      snap.function_cost[func] = fcost;
-      cur_costs = &it->second;
-      cost_rows = 0;
-    } else if (word == "ic" || word == "ip" || word == "bc" || word == "bs" ||
-               word == "ed") {
-      if (cur_costs == nullptr) {
-        reader.Fail("'" + word + "' record outside a func section");
-        return std::nullopt;
-      }
-      static const char* kOrder[5] = {"ic", "ip", "bc", "bs", "ed"};
-      if (cost_rows >= 5 || word != kOrder[cost_rows]) {
-        reader.Fail("cost rows out of order at '" + word + "'");
-        return std::nullopt;
-      }
-      std::vector<uint64_t>* dst = nullptr;
-      switch (cost_rows) {
-        case 0: dst = &cur_costs->inst_cost; break;
-        case 1: dst = &cur_costs->inst_prefix; break;
-        case 2: dst = &cur_costs->block_cost; break;
-        case 3: dst = &cur_costs->block_start; break;
-        case 4: dst = &cur_costs->exit_dist; break;
-      }
-      if (!ReadU64List(ls, dst) || Trailing(ls)) {
-        reader.Fail("malformed '" + word + "' row");
-        return std::nullopt;
-      }
-      ++cost_rows;
-    } else if (word == "goal") {
-      if (cur_costs != nullptr && cost_rows != 5) {
-        reader.Fail("func section truncated (expected 5 cost rows)");
-        return std::nullopt;
-      }
-      cur_costs = nullptr;
-      ir::InstRef goal;
-      if (!(ls >> goal.func >> goal.block >> goal.inst) || Trailing(ls)) {
-        reader.Fail("malformed goal record");
-        return std::nullopt;
-      }
-      if (cur_goal.has_value() && !(*cur_goal < goal)) {
-        reader.Fail("goal sections out of order");
-        return std::nullopt;
-      }
-      cur_goal = goal;
-      ++goal_count;
-    } else if (word == "entry") {
-      if (!cur_goal.has_value()) {
-        reader.Fail("entry record outside a goal section");
-        return std::nullopt;
-      }
-      uint64_t n;
-      if (!(ls >> n)) {
-        reader.Fail("malformed entry record");
-        return std::nullopt;
-      }
-      auto& dists = snap.entry_dists[*cur_goal];
-      for (uint64_t i = 0; i < n; ++i) {
-        uint32_t func;
-        uint64_t dist;
-        if (!(ls >> func >> dist)) {
-          reader.Fail("truncated entry record");
-          return std::nullopt;
-        }
-        dists[func] = dist;
-      }
-      if (Trailing(ls)) {
-        reader.Fail("trailing garbage after entry record");
-        return std::nullopt;
-      }
-    } else if (word == "table") {
-      if (!cur_goal.has_value()) {
-        reader.Fail("table record outside a goal section");
-        return std::nullopt;
-      }
-      uint32_t func;
-      if (!(ls >> func)) {
-        reader.Fail("malformed table record");
-        return std::nullopt;
-      }
-      analysis::DistanceCalculator::GoalTable table;
-      if (!ReadU64List(ls, &table.goal_dist) ||
-          !ReadU64List(ls, &table.inst_dist) || Trailing(ls)) {
-        reader.Fail("malformed table lists");
-        return std::nullopt;
-      }
-      auto& per_goal = snap.goal_tables[*cur_goal];
-      if (!per_goal.emplace(func, std::move(table)).second) {
-        reader.Fail("duplicate table for func " + std::to_string(func));
-        return std::nullopt;
-      }
-    } else if (word == "end") {
-      if (cur_costs != nullptr && cost_rows != 5) {
-        reader.Fail("func section truncated (expected 5 cost rows)");
-        return std::nullopt;
-      }
-      uint64_t nfunc, ngoal;
-      if (!(ls >> nfunc >> ngoal) || Trailing(ls)) {
-        reader.Fail("malformed end trailer");
-        return std::nullopt;
-      }
-      if (nfunc != snap.costs.size() || ngoal != goal_count) {
-        reader.Fail("end counts do not match records (truncated?)");
-        return std::nullopt;
-      }
-      saw_end = true;
-      break;
-    } else {
-      reader.Fail("unknown directive '" + word + "'");
-      return std::nullopt;
-    }
-  }
-  if (!saw_end) {
-    reader.Fail("missing end trailer (truncated file)");
-    return std::nullopt;
-  }
-  if (!reader.Epilogue()) {
-    return std::nullopt;
-  }
-  return snap;
 }
 
 // ---- Fingerprint corpus -----------------------------------------------------

@@ -1,14 +1,14 @@
 // ESD serve: on-disk serialization of the cross-run synthesis caches.
 //
-// The esdserved daemon persists three caches across jobs and restarts (see
+// The esdserved daemon persists two caches across jobs and restarts (see
 // docs/CACHE_FORMAT.md for the formats in full):
 //   - the shared solver query/counterexample cache (solver pipeline stage 2),
-//   - the DistanceCalculator tables (costs, goal tables, entry distances),
 //   - the execution-fingerprint corpus used for duplicate-bug triage (§8).
+// Distance tables are not persisted: every search computes its own.
 //
 // Every format is versioned, line-oriented text:
 //
-//   esdcache <kind> v1          header: kind is solver | dist | fps
+//   esdcache <kind> v1          header: kind is solver | fps
 //   module <16-hex>             content digest of the module the data was
 //                               computed over (ir::ModuleDigest)
 //   ...records...
@@ -30,7 +30,6 @@
 #include <string>
 #include <vector>
 
-#include "src/analysis/distance.h"
 #include "src/solver/query_cache.h"
 
 namespace esd::serve {
@@ -51,12 +50,6 @@ std::string SolverCacheToText(const SolverCacheImage& image);
 std::optional<SolverCacheImage> ParseSolverCache(const std::string& text,
                                                  uint64_t expected_digest,
                                                  std::string* error);
-
-// ---- Distance tables --------------------------------------------------------
-
-std::string DistanceCacheToText(const analysis::DistanceCalculator::Snapshot& snap);
-std::optional<analysis::DistanceCalculator::Snapshot> ParseDistanceCache(
-    const std::string& text, uint64_t expected_digest, std::string* error);
 
 // ---- Fingerprint corpus -----------------------------------------------------
 

@@ -208,22 +208,6 @@ std::optional<SolverCacheImage> CacheStore::LoadSolverCache(
   return image;
 }
 
-std::optional<analysis::DistanceCalculator::Snapshot>
-CacheStore::LoadDistanceCache(uint64_t search_digest) {
-  if (!ok_) return std::nullopt;
-  const std::string path = PathFor(search_digest, "dist");
-  bool present = false;
-  auto text = ReadOrQuarantine(path, &present);
-  if (!text.has_value()) return std::nullopt;
-  std::string error;
-  auto snap = ParseDistanceCache(*text, search_digest, &error);
-  if (!snap.has_value()) {
-    Quarantine(path, error);
-    return std::nullopt;
-  }
-  return snap;
-}
-
 std::optional<FingerprintImage> CacheStore::LoadFingerprintCorpus(
     uint64_t module_digest) {
   if (!ok_) return std::nullopt;
@@ -266,12 +250,6 @@ bool CacheStore::AtomicWrite(const std::string& path, const std::string& text) {
 bool CacheStore::StoreSolverCache(const SolverCacheImage& image) {
   return AtomicWrite(PathFor(image.module_digest, "solver"),
                      SolverCacheToText(image));
-}
-
-bool CacheStore::StoreDistanceCache(
-    const analysis::DistanceCalculator::Snapshot& snap) {
-  return AtomicWrite(PathFor(snap.module_digest, "dist"),
-                     DistanceCacheToText(snap));
 }
 
 bool CacheStore::StoreFingerprintCorpus(const FingerprintImage& image) {

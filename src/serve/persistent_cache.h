@@ -3,7 +3,6 @@
 // One directory holds every persisted artifact (docs/CACHE_FORMAT.md):
 //
 //   <digest>.solver.esdc   solver query/counterexample cache (cache_io.h)
-//   <digest>.dist.esdc     distance tables for the *search* module digest
 //   <digest>.fps.esdc      execution-fingerprint corpus (duplicate-bug triage)
 //   results.index          append-only journal of solved jobs: one
 //                          checksummed record per job (report digest ->
@@ -11,14 +10,18 @@
 //                          execution-file text that seeds incremental
 //                          re-synthesis after a patch)
 //
+// Distance tables are not persisted. `<digest>.dist.esdc` files written by
+// earlier versions are never opened and may be deleted.
+//
 // Crash safety: the `.esdc` files, and the journal when a load compacts it,
 // are written to a `.tmp` sibling and renamed into place, so a crash
 // mid-write leaves either the old file or the new one. Otherwise the journal
 // grows by one write() per job, so a crash can tear only its final record;
-// the next load drops that record and keeps the rest. Any other damage — a truncated or corrupted `.esdc` file, a version
-// bump, a digest mismatch, a journal record whose checksum fails — moves the
-// file aside to `<name>.quarantined`, and the store treats it as absent: the
-// daemon logs one line, keeps running, and regenerates the cache.
+// the next load drops that record and keeps the rest. Any other damage — a
+// truncated or corrupted `.esdc` file, a version bump, a digest mismatch, a
+// journal record whose checksum fails — moves the file aside to
+// `<name>.quarantined`, and the store treats it as absent: the daemon logs
+// one line, keeps running, and regenerates the cache.
 #ifndef ESD_SRC_SERVE_PERSISTENT_CACHE_H_
 #define ESD_SRC_SERVE_PERSISTENT_CACHE_H_
 
@@ -65,12 +68,9 @@ class CacheStore {
   // Loads return nullopt when the file is absent OR failed its strict parse;
   // a failed parse quarantines the file and appends to load_errors().
   std::optional<SolverCacheImage> LoadSolverCache(uint64_t module_digest);
-  std::optional<analysis::DistanceCalculator::Snapshot> LoadDistanceCache(
-      uint64_t search_digest);
   std::optional<FingerprintImage> LoadFingerprintCorpus(uint64_t module_digest);
 
   bool StoreSolverCache(const SolverCacheImage& image);
-  bool StoreDistanceCache(const analysis::DistanceCalculator::Snapshot& snap);
   bool StoreFingerprintCorpus(const FingerprintImage& image);
 
   // ---- Results journal ----

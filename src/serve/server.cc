@@ -35,7 +35,6 @@ Server::ModuleState& Server::GetModuleState(uint64_t module_digest) {
   // outside modules_mu_ so a slow disk load does not block jobs on other
   // modules; a racing builder for the same digest loses below and is freed.
   auto state = std::make_unique<ModuleState>(options_.solver_cache_bytes);
-  state->module_digest = module_digest;
   if (store_ != nullptr) {
     std::lock_guard<std::mutex> lock(store_mu_);
     if (auto image = store_->LoadSolverCache(module_digest)) {
@@ -77,8 +76,6 @@ JobResult Server::Process(const Job& job) {
   }
   out.module_digest = ir::ModuleDigest(*module);
   out.report_digest = TextDigest(job.report_text);
-
-  ModuleState& ms = GetModuleState(out.module_digest);
 
   // Exact (report, module) duplicate: answer from the stored verdict.
   // (Copied out: the record pointer is only stable under store_mu_.)
@@ -122,39 +119,12 @@ JobResult Server::Process(const Job& job) {
     seed = replay::ParseExecutionFile(prior->exec_text, &seed_error);
   }
 
+  // Loaded only now, so an answer from the stored verdict never reads the
+  // module's cache files.
+  ModuleState& ms = GetModuleState(out.module_digest);
   core::SynthesisOptions sopts = options_.synthesis;
   sopts.shared_solver_cache = &ms.solver_cache;
   sopts.seed_schedule = seed.has_value() ? &*seed : nullptr;
-  bool restored_any = false;
-  sopts.on_distances_ready = [this, &ms,
-                              &restored_any](analysis::DistanceCalculator& dc) {
-    const uint64_t key = dc.module_digest();
-    {
-      std::lock_guard<std::mutex> lock(ms.mu);
-      auto it = ms.dist_snapshots.find(key);
-      if (it != ms.dist_snapshots.end()) {
-        restored_any = dc.Restore(it->second) || restored_any;
-        return;
-      }
-    }
-    if (store_ != nullptr) {
-      std::optional<analysis::DistanceCalculator::Snapshot> snap;
-      {
-        std::lock_guard<std::mutex> lock(store_mu_);
-        snap = store_->LoadDistanceCache(key);
-      }
-      if (snap.has_value()) {
-        restored_any = dc.Restore(*snap) || restored_any;
-        std::lock_guard<std::mutex> lock(ms.mu);
-        ms.dist_snapshots.emplace(key, std::move(*snap));
-      }
-    }
-  };
-  sopts.on_distances_done = [&ms](analysis::DistanceCalculator& dc) {
-    auto snap = dc.Export();
-    std::lock_guard<std::mutex> lock(ms.mu);
-    ms.dist_snapshots[snap.module_digest] = std::move(snap);
-  };
 
   core::Synthesizer synthesizer(module.get(), sopts);
   core::SynthesisResult result = synthesizer.Synthesize(*dump);
@@ -165,11 +135,10 @@ JobResult Server::Process(const Job& job) {
   out.seconds = result.seconds;
   out.seed_switches = result.seed_switches;
   out.seed_best_prefix = result.seed_best_prefix;
-  out.distance_tables_restored = result.distance_tables_restored;
   out.solver_shared_hits = result.solver.shared_hits;
   if (seed.has_value()) {
     out.source = "incremental";
-  } else if (restored_any || result.solver.shared_hits > 0) {
+  } else if (result.solver.shared_hits > 0) {
     out.source = "warm";
   }
 
@@ -197,7 +166,6 @@ JobResult Server::Process(const Job& job) {
   if (out.source == "incremental") ++stats_.incremental;
   if (out.duplicate_bug) ++stats_.duplicate_bugs;
   stats_.solver_shared_hits += out.solver_shared_hits;
-  stats_.distance_tables_restored += out.distance_tables_restored;
   return out;
 }
 
@@ -217,11 +185,6 @@ void Server::FlushAll() {
     corpus_image.module_digest = digest;
     corpus_image.fingerprints = ms->corpus.Snapshot();
     store_->StoreFingerprintCorpus(corpus_image);
-
-    std::lock_guard<std::mutex> ms_lock(ms->mu);
-    for (const auto& [search_digest, snap] : ms->dist_snapshots) {
-      store_->StoreDistanceCache(snap);
-    }
   }
 }
 

@@ -1,18 +1,18 @@
 // ESD serve: the synthesis service behind the esdserved daemon.
 //
 // One long-lived process accepts a stream of synthesis jobs (module + bug
-// report) and answers each with a verdict, keeping three caches warm across
+// report) and answers each with a verdict, keeping two caches warm across
 // jobs on the same module and — through the CacheStore — across restarts:
 //
 //   - the shared solver query/counterexample cache (SynthesisOptions::
 //     shared_solver_cache): component answers solved for job N short-circuit
 //     the SAT calls of job N+1 on the same module;
-//   - the DistanceCalculator tables, exported after every search and
-//     restored (digest-checked) before the next one on the same search
-//     module, so the static phase of a warm job is a table load;
 //   - the execution-fingerprint corpus: every synthesized execution's
 //     replay::Fingerprint, the duplicate-bug triage set of §8 ("is this
 //     new report the same bug we already synthesized?").
+//
+// Each search computes its own distance tables, as a one-shot esdsynth run
+// does.
 //
 // Incremental re-synthesis: when a report we already solved arrives with a
 // *patched* module, the stored execution file seeds the new search
@@ -42,7 +42,7 @@ struct ServerOptions {
   // not restarts).
   std::string cache_dir;
   // Baseline synthesis options for every job; the server overlays its
-  // service hooks (shared_solver_cache, seed_schedule, on_distances_*).
+  // service hooks (shared_solver_cache, seed_schedule).
   core::SynthesisOptions synthesis;
   // Byte budget for each per-module solver cache.
   size_t solver_cache_bytes = solver::SharedSolverCache::kDefaultMaxBytes;
@@ -60,9 +60,9 @@ struct JobResult {
   std::string fingerprint;    // replay::Fingerprint hex of the execution.
   bool duplicate_bug = false; // Fingerprint already in the corpus.
   // How the verdict was produced: "cold" (fresh search), "warm" (fresh
-  // search with restored distance tables or solver entries), "incremental"
-  // (search seeded by a prior execution's schedule), "cache" (stored
-  // verdict returned without searching).
+  // search that hit the module's solver cache), "incremental" (search
+  // seeded by a prior execution's schedule), "cache" (stored verdict
+  // returned without searching).
   std::string source = "cold";
   std::string exec_text;      // Execution file text (empty if !reproduced).
   uint64_t module_digest = 0;
@@ -70,6 +70,8 @@ struct JobResult {
   // Reuse accounting (from SynthesisResult and the caches).
   uint64_t seed_switches = 0;
   uint64_t seed_best_prefix = 0;
+  // Always 0: distance tables are no longer persisted. Kept because the
+  // benchmark harness (perfbench/main.cc) still reads it.
   uint64_t distance_tables_restored = 0;
   uint64_t solver_shared_hits = 0;
   double seconds = 0.0;
@@ -95,6 +97,8 @@ class Server {
     uint64_t incremental = 0;         // Searches seeded by a stored execution.
     uint64_t duplicate_bugs = 0;      // Fingerprint already in the corpus.
     uint64_t solver_shared_hits = 0;  // Summed across jobs.
+    // Always 0, like JobResult::distance_tables_restored, and kept for the
+    // same reader.
     uint64_t distance_tables_restored = 0;
     uint64_t solver_entries_preloaded = 0;  // Loaded from disk at module birth.
     uint64_t corpus_preloaded = 0;
@@ -113,12 +117,6 @@ class Server {
     explicit ModuleState(size_t solver_bytes) : solver_cache(solver_bytes) {}
     solver::SharedSolverCache solver_cache;
     vm::FingerprintTable corpus;
-    std::mutex mu;  // Guards dist_snapshots.
-    // Keyed by the *search* module digest: ir-opt searches an optimized
-    // copy, which digests differently from the module itself whenever a
-    // branch was elided or dead arithmetic was neutralized.
-    std::map<uint64_t, analysis::DistanceCalculator::Snapshot> dist_snapshots;
-    uint64_t module_digest = 0;
   };
 
   ModuleState& GetModuleState(uint64_t module_digest);

@@ -488,67 +488,5 @@ entry:
             analysis::kInfDistance);
 }
 
-// The cross-run regression the digest key prevents: tables exported over
-// one module must not restore into a calculator for a *different* module
-// — colliding function ids with different bodies would silently serve
-// stale distances. Same module (same digest): restore succeeds and the
-// restored tables answer identically to freshly computed ones.
-TEST(DistanceTest, SnapshotRestoreIsDigestKeyed) {
-  constexpr char kVariantB[] = R"(
-func @f(%x: i32) : i32 {
-entry:
-  %c = icmp eq %x, i32 0
-  condbr %c, left, right
-left:
-  %a = add %x, i32 1
-  %a2 = add %a, i32 2
-  %a3 = add %a2, i32 3
-  %a4 = add %a3, i32 4
-  br join
-right:
-  %b = add %x, i32 2
-  br join
-join:
-  ret i32 7
-}
-)";
-  ir::Module a = Parse(kDiamond);
-  ir::Module b = Parse(kVariantB);  // Same function name, different body.
-  uint32_t fa = *a.FindFunction("f");
-  ir::InstRef goal{fa, 3, 0};
-
-  DistanceCalculator warm(&a);
-  warm.Prewarm({goal});
-  DistanceCalculator::Snapshot snap = warm.Export();
-  EXPECT_EQ(snap.module_digest, warm.module_digest());
-  EXPECT_FALSE(snap.costs.empty());
-
-  // Different module, same function ids: rejected, nothing restored.
-  DistanceCalculator other(&b);
-  EXPECT_NE(other.module_digest(), warm.module_digest());
-  EXPECT_FALSE(other.Restore(snap));
-  EXPECT_EQ(other.restored_tables(), 0u);
-  // And the rejected calculator still computes its own correct answer:
-  // variant B's left branch is the long one.
-  EXPECT_LT(other.Distance(ir::InstRef{fa, 2, 0}, goal),
-            other.Distance(ir::InstRef{fa, 1, 0}, goal));
-
-  // Same module content: restored, and answers match the warm calculator.
-  DistanceCalculator restored(&a);
-  EXPECT_TRUE(restored.Restore(snap));
-  EXPECT_GT(restored.restored_tables(), 0u);
-  for (uint32_t block = 0; block < 4; ++block) {
-    EXPECT_EQ(restored.Distance(ir::InstRef{fa, block, 0}, goal),
-              warm.Distance(ir::InstRef{fa, block, 0}, goal))
-        << "block " << block;
-  }
-
-  // Restore is a cold-cache-only operation: after Prewarm sealed the
-  // calculator, a restore is refused even with a matching digest.
-  DistanceCalculator sealed(&a);
-  sealed.Prewarm({goal});
-  EXPECT_FALSE(sealed.Restore(snap));
-}
-
 }  // namespace
 }  // namespace esd::analysis

@@ -1,12 +1,11 @@
 // The persisted-cache contract of the synthesis service: for each of the
-// three cache formats (solver query cache, distance tables, fingerprint
-// corpus), serialize -> parse -> serialize must be byte-identical, and
-// every corruption class — truncation, trailing garbage, a version bump, a
-// module-digest mismatch — must fail the strict parse with a one-line
-// error. The CacheStore must quarantine such a file and keep serving. The
-// results journal must survive reopening, drop only a torn final record,
-// let a later record for a report win, and load nothing but stored records
-// from any mutant of itself.
+// two cache formats (solver query cache, fingerprint corpus), serialize ->
+// parse -> serialize must be byte-identical, and every corruption class —
+// truncation, trailing garbage, a version bump, a module-digest mismatch —
+// must fail the strict parse with a one-line error. The CacheStore must
+// quarantine such a file and keep serving. The results journal must survive
+// reopening, drop only a torn final record, let a later record for a report
+// win, and load nothing but stored records from any mutant of itself.
 #include <gtest/gtest.h>
 
 #include <cstdio>
@@ -17,43 +16,12 @@
 #include <string>
 #include <vector>
 
-#include "src/analysis/distance.h"
-#include "src/ir/parser.h"
-#include "src/ir/printer.h"
 #include "src/serve/cache_io.h"
 #include "src/serve/persistent_cache.h"
 #include "src/solver/query_cache.h"
-#include "src/workloads/workloads.h"
 
 namespace esd::serve {
 namespace {
-
-ir::Module Parse(const std::string& body) {
-  ir::Module m;
-  ir::ParseResult r =
-      ir::ParseModule(std::string(workloads::ExternsPreamble()) + body, &m);
-  EXPECT_TRUE(r.ok) << r.error;
-  return m;
-}
-
-constexpr char kProgram[] = R"(
-func @helper(%x: i32) : i32 {
-entry:
-  %r = add %x, i32 5
-  ret %r
-}
-
-func @main() : i32 {
-entry:
-  %a = call @helper(i32 1)
-  %c = icmp eq %a, i32 6
-  condbr %c, yes, no
-yes:
-  ret i32 1
-no:
-  ret i32 0
-}
-)";
 
 // A solver-cache image with every entry shape: unsat, model-less sat, and
 // sat with a model whose names need escaping.
@@ -71,13 +39,6 @@ SolverCacheImage MakeSolverImage() {
   image.module_digest = 0xdeadbeefcafef00dull;
   image.entries = cache.Snapshot();
   return image;
-}
-
-analysis::DistanceCalculator::Snapshot MakeDistanceSnapshot(ir::Module* m) {
-  uint32_t main_fn = *m->FindFunction("main");
-  analysis::DistanceCalculator dc(m);
-  dc.Prewarm({ir::InstRef{main_fn, 1, 0}, ir::InstRef{main_fn, 2, 0}});
-  return dc.Export();
 }
 
 TEST(ServeCacheIoTest, SolverCacheRoundTripsByteIdentical) {
@@ -100,22 +61,6 @@ TEST(ServeCacheIoTest, SolverCacheRoundTripsByteIdentical) {
   again.entries = reloaded.Snapshot();
   EXPECT_EQ(SolverCacheToText(again), text);
   EXPECT_EQ(reloaded.stats().preloaded, image.entries.size());
-}
-
-TEST(ServeCacheIoTest, DistanceCacheRoundTripsByteIdentical) {
-  ir::Module m = Parse(kProgram);
-  analysis::DistanceCalculator::Snapshot snap = MakeDistanceSnapshot(&m);
-  ASSERT_FALSE(snap.costs.empty());
-  ASSERT_FALSE(snap.goal_tables.empty());
-  std::string text = DistanceCacheToText(snap);
-  std::string error;
-  auto parsed = ParseDistanceCache(text, snap.module_digest, &error);
-  ASSERT_TRUE(parsed.has_value()) << error;
-  EXPECT_EQ(DistanceCacheToText(*parsed), text);
-  // And the parsed snapshot restores into a fresh calculator.
-  analysis::DistanceCalculator dc(&m);
-  EXPECT_TRUE(dc.Restore(*parsed));
-  EXPECT_GT(dc.restored_tables(), 0u);
 }
 
 TEST(ServeCacheIoTest, FingerprintCorpusRoundTripsByteIdentical) {
@@ -180,15 +125,7 @@ TEST(ServeCacheIoTest, CorruptionClassesRejected) {
                    .has_value());
   EXPECT_NE(error.find("end count"), std::string::npos) << error;
 
-  // The same classes for the other two formats (spot checks).
-  ir::Module m = Parse(kProgram);
-  analysis::DistanceCalculator::Snapshot snap = MakeDistanceSnapshot(&m);
-  std::string dist = DistanceCacheToText(snap);
-  EXPECT_FALSE(ParseDistanceCache(dist.substr(0, dist.size() / 2),
-                                  snap.module_digest, &error)
-                   .has_value());
-  EXPECT_FALSE(
-      ParseDistanceCache(dist, snap.module_digest + 1, &error).has_value());
+  // The same classes for the fingerprint format (spot checks).
   FingerprintImage fps;
   fps.module_digest = 9;
   fps.fingerprints = {1, 2, 3};

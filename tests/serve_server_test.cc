@@ -1,13 +1,15 @@
 // The synthesis service end-to-end, in-process: the sharded job queue's
 // affinity/stealing/drain behavior, and the Server's reuse ladder — cold
-// search, stored-verdict short-circuit, warm search over reloaded caches
-// after a "restart", incremental re-synthesis of a patched module seeded by
-// the prior execution, survival of a corrupted cache file mid-service, a
-// corrupted stored execution that must not be served, and a verdict that
-// survives a hard kill.
+// search, stored-verdict short-circuit that loads no per-module cache, warm
+// search over reloaded solver caches after a "restart" that never reads a
+// distance-table file an earlier version left behind, incremental
+// re-synthesis of a patched module seeded by the prior execution, survival
+// of a corrupted cache file mid-service, a corrupted stored execution that
+// must not be served, and a verdict that survives a hard kill.
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <cstdio>
 #include <filesystem>
 #include <fstream>
 #include <iterator>
@@ -108,6 +110,24 @@ ServerOptions BaseOptions(const std::string& cache_dir) {
   return options;
 }
 
+std::string ReadFile(const std::filesystem::path& path) {
+  std::ifstream in(path, std::ios::binary);
+  return std::string((std::istreambuf_iterator<char>(in)),
+                     std::istreambuf_iterator<char>());
+}
+
+// Every file in `dir` whose name ends in `suffix`.
+std::vector<std::filesystem::path> FilesEndingIn(const std::string& dir,
+                                                 const std::string& suffix) {
+  std::vector<std::filesystem::path> found;
+  for (const auto& entry : std::filesystem::directory_iterator(dir)) {
+    if (entry.path().filename().string().ends_with(suffix)) {
+      found.push_back(entry.path());
+    }
+  }
+  return found;
+}
+
 TEST(ServeServerTest, ReuseLadderAcrossRestarts) {
   std::string dir = ::testing::TempDir() + "/esd_serve_server_test";
   std::filesystem::remove_all(dir);
@@ -115,6 +135,7 @@ TEST(ServeServerTest, ReuseLadderAcrossRestarts) {
   Job job = MakeJob(1, program);
 
   std::string fingerprint;
+  uint64_t module_digest = 0;
   // Rung 1: cold search in a fresh daemon.
   {
     Server server(BaseOptions(dir));
@@ -125,6 +146,7 @@ TEST(ServeServerTest, ReuseLadderAcrossRestarts) {
     EXPECT_FALSE(cold.fingerprint.empty());
     EXPECT_FALSE(cold.exec_text.empty());
     fingerprint = cold.fingerprint;
+    module_digest = cold.module_digest;
 
     // Rung 2: the identical (report, module) pair short-circuits to the
     // stored verdict without searching.
@@ -136,8 +158,11 @@ TEST(ServeServerTest, ReuseLadderAcrossRestarts) {
     EXPECT_EQ(server.stats().verdict_cache_hits, 1u);
     // ~Server flushes every cache to disk.
   }
+  // Distance tables are not persisted.
+  EXPECT_TRUE(FilesEndingIn(dir, ".dist.esdc").empty());
 
-  // Rung 3: a restarted daemon answers from the persisted results index.
+  // Rung 3: a restarted daemon answers from the persisted results index,
+  // without loading the module's solver cache or corpus.
   {
     Server server(BaseOptions(dir));
     JobResult cached = server.Process(job);
@@ -145,11 +170,32 @@ TEST(ServeServerTest, ReuseLadderAcrossRestarts) {
     EXPECT_EQ(cached.source, "cache");
     EXPECT_EQ(cached.fingerprint, fingerprint);
     EXPECT_TRUE(server.TakeLoadErrors().empty());
+    EXPECT_EQ(server.stats().solver_entries_preloaded, 0u);
+    EXPECT_EQ(server.stats().corpus_preloaded, 0u);
+  }
+
+  // An upgrade leaves the distance-table file of an earlier version behind.
+  // This one is hostile: its row count asks for ~8 EB. For this scenario
+  // the searched module digests like the module itself, so the file carries
+  // the name and module line an earlier version would have read.
+  char hex[17];
+  std::snprintf(hex, sizeof(hex), "%016llx",
+                static_cast<unsigned long long>(module_digest));
+  const std::string stale_text = std::string("esdcache dist v1\nmodule ") +
+                                 hex +
+                                 "\nfunc 0 5\nic 999999999999999999 1\n";
+  ASSERT_EQ(stale_text.size(), 74u);
+  const std::filesystem::path stale_path =
+      std::filesystem::path(dir) / (std::string(hex) + ".dist.esdc");
+  {
+    std::ofstream out(stale_path, std::ios::binary | std::ios::trunc);
+    out << stale_text;
   }
 
   // Rung 4: with verdict reuse off, the restarted daemon must actually
-  // search — but warm: preloaded solver entries and restored distance
-  // tables, and the corpus flags the synthesized bug as a known duplicate.
+  // search — but warm: it hits the preloaded solver entries, and the corpus
+  // flags the synthesized bug as a known duplicate. The stale distance file
+  // is never read.
   {
     ServerOptions options = BaseOptions(dir);
     options.reuse_results = false;
@@ -160,12 +206,14 @@ TEST(ServeServerTest, ReuseLadderAcrossRestarts) {
     EXPECT_EQ(warm.source, "warm");
     EXPECT_EQ(warm.fingerprint, fingerprint);
     EXPECT_TRUE(warm.duplicate_bug);
-    EXPECT_GT(warm.solver_shared_hits + warm.distance_tables_restored, 0u);
+    EXPECT_GT(warm.solver_shared_hits, 0u);
     Server::Stats stats = server.stats();
     EXPECT_GT(stats.solver_entries_preloaded, 0u);
     EXPECT_GT(stats.corpus_preloaded, 0u);
     EXPECT_EQ(stats.duplicate_bugs, 1u);
+    EXPECT_TRUE(server.TakeLoadErrors().empty());
   }
+  EXPECT_EQ(ReadFile(stale_path), stale_text);
 
   // Rung 5: the same report against a *patched* module finds the stored
   // execution and seeds the search from its schedule.
@@ -219,20 +267,16 @@ TEST(ServeServerTest, CorruptedCacheFileMidServiceIsQuarantinedNotFatal) {
 
   // Corrupt every solver-cache file — a torn disk write while the daemon
   // was down.
-  size_t corrupted = 0;
-  for (const auto& entry : std::filesystem::directory_iterator(dir)) {
-    std::string path = entry.path().string();
-    if (path.size() > 12 &&
-        path.compare(path.size() - 12, 12, ".solver.esdc") == 0) {
-      std::ofstream out(path, std::ios::trunc);
-      out << "esdcache solver v1\nmodule garbage\n";
-      ++corrupted;
-    }
+  const std::vector<std::filesystem::path> solver_files =
+      FilesEndingIn(dir, ".solver.esdc");
+  ASSERT_FALSE(solver_files.empty());
+  for (const std::filesystem::path& path : solver_files) {
+    std::ofstream out(path, std::ios::trunc);
+    out << "esdcache solver v1\nmodule garbage\n";
   }
-  ASSERT_GT(corrupted, 0u);
 
   // The restarted daemon quarantines the file, reports it once, and still
-  // produces the verdict (cold-ish search; distance tables still restore).
+  // produces the verdict (a search without the lost solver entries).
   ServerOptions options = BaseOptions(dir);
   options.reuse_results = false;
   Server server(options);
@@ -301,9 +345,7 @@ TEST(ServeServerTest, CorruptedStoredExecutionIsNotServed) {
 
   bool flipped = false;
   for (const auto& entry : std::filesystem::directory_iterator(dir)) {
-    std::ifstream in(entry.path(), std::ios::binary);
-    std::string bytes((std::istreambuf_iterator<char>(in)),
-                      std::istreambuf_iterator<char>());
+    std::string bytes = ReadFile(entry.path());
     const size_t at = bytes.find(exec_text);
     if (at == std::string::npos) continue;
     bytes[at + digit] = corrupted[digit];

@@ -10,10 +10,11 @@
 //   <module.esd> <report.core> [out.exec]
 //
 // Jobs are routed through a module-digest-sharded queue to synthesis
-// workers. The daemon keeps the solver query cache, the distance tables,
-// and the execution-fingerprint corpus warm across jobs on the same module
-// and, with --cache-dir, across restarts (crash-safe versioned cache files;
-// a corrupted file is quarantined and regenerated, never trusted).
+// workers. The daemon keeps the solver query cache and the
+// execution-fingerprint corpus warm across jobs on the same module and,
+// with --cache-dir, across restarts (crash-safe versioned cache files; a
+// corrupted file is quarantined and regenerated, never trusted). Each
+// search computes its own distance tables.
 // A re-submitted (report, module) pair answers from the stored verdict;
 // a known report against a *patched* module seeds the new search from the
 // previously synthesized execution (incremental re-synthesis).
@@ -235,8 +236,7 @@ int main(int argc, char** argv) {
             << " reproduced, " << stats.verdict_cache_hits << " verdict-cache, "
             << stats.incremental << " incremental, " << stats.duplicate_bugs
             << " duplicate-bug), " << stats.solver_shared_hits
-            << " solver cache hits, " << stats.distance_tables_restored
-            << " distance tables restored, " << stats.solver_entries_preloaded
+            << " solver cache hits, " << stats.solver_entries_preloaded
             << " solver entries + " << stats.corpus_preloaded
             << " corpus fingerprints preloaded, " << qstats.stolen
             << " jobs stolen\n";
