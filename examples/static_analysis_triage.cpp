@@ -91,8 +91,11 @@ int main() {
       std::printf("    [%zu] TRUE POSITIVE  (deadlock synthesized, "
                   "fingerprint %s)\n",
                   i, replay::Fingerprint(validated[i].synthesis.file).c_str());
-    } else {
+    } else if (validated[i].synthesis.stop == core::SynthesisResult::Stop::kExhausted) {
       std::printf("    [%zu] false positive (no execution reaches it: %s)\n", i,
+                  validated[i].synthesis.failure_reason.c_str());
+    } else {
+      std::printf("    [%zu] undecided (%s)\n", i,
                   validated[i].synthesis.failure_reason.c_str());
     }
   }

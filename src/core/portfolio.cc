@@ -50,6 +50,7 @@ void RunPortfolio(const ir::Module* module, const Goal& goal,
 
   auto main_fn = module->FindFunction("main");
   if (!main_fn.has_value()) {
+    result->stop = SynthesisResult::Stop::kError;
     result->failure_reason = "program has no main function";
     return;
   }
@@ -273,6 +274,8 @@ void RunPortfolio(const ir::Module* module, const Goal& goal,
 
   int win = winner.load();
   if (win < 0) {
+    result->stop = any_limit ? SynthesisResult::Stop::kBudget
+                             : SynthesisResult::Stop::kExhausted;
     result->failure_reason = any_limit
                                  ? "search budget exhausted before reaching the goal"
                                  : "search space exhausted without manifesting the goal";
@@ -283,9 +286,11 @@ void RunPortfolio(const ir::Module* module, const Goal& goal,
   }
   WorkerOutcome& best = outcomes[static_cast<size_t>(win)];
   if (!best.solved) {
+    result->stop = SynthesisResult::Stop::kError;
     result->failure_reason = "goal state constraints unexpectedly unsatisfiable";
     return;
   }
+  result->stop = SynthesisResult::Stop::kGoal;
   result->success = true;
   result->bug = best.bug;
   result->file = std::move(best.file);

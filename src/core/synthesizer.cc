@@ -15,6 +15,7 @@ SynthesisResult Synthesizer::Synthesize(const report::CoreDump& dump) {
 SynthesisResult Synthesizer::SynthesizeGoal(const Goal& goal) {
   SynthesisResult result;
   if (goal.threads.empty()) {
+    result.stop = SynthesisResult::Stop::kError;
     result.failure_reason = "no actionable thread goals";
     return result;
   }

@@ -121,9 +121,25 @@ struct WorkerReport {
 };
 
 struct SynthesisResult {
+  // Why the search stopped.
+  enum class Stop {
+    kGoal,       // A state manifested the goal and its constraints solved
+                 // into an execution file (`success`).
+    kExhausted,  // The search space drained without manifesting the goal.
+                 // The verdict rests on every pruning being sound: dedup,
+                 // sleep sets, IR branch elision and the solver range
+                 // stage's UNSAT proofs.
+    kBudget,     // A time, instruction or state budget ended the search
+                 // first. This decides nothing about the goal.
+    kError,      // The search could not run (no main, no actionable goal)
+                 // or its goal state failed to solve.
+  };
+
   bool success = false;
+  Stop stop = Stop::kError;
   replay::ExecutionFile file;
   vm::BugInfo bug;
+  // Human-readable form of a failed `stop`.
   std::string failure_reason;
   // Bugs encountered that did not match the goal ("ESD has discovered a
   // different bug": recorded and search resumed).

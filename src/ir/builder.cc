@@ -43,6 +43,11 @@ void FunctionBuilder::SetBlock(uint32_t block) {
   current_block_ = block;
 }
 
+bool FunctionBuilder::BlockTerminated() const {
+  const BasicBlock& bb = fn_.blocks[current_block_];
+  return !bb.insts.empty() && bb.insts.back().IsTerminator();
+}
+
 Value FunctionBuilder::Param(uint32_t i) const {
   assert(i < fn_.params.size());
   return Value::Reg(i, fn_.params[i]);
@@ -54,9 +59,8 @@ Value FunctionBuilder::NewReg(Type type) {
 
 Instruction& FunctionBuilder::Append(Instruction inst) {
   assert(!finished_);
+  assert(!BlockTerminated() && "appending after a terminator");
   BasicBlock& bb = fn_.blocks[current_block_];
-  assert((bb.insts.empty() || !bb.insts.back().IsTerminator()) &&
-         "appending after a terminator");
   bb.insts.push_back(std::move(inst));
   return bb.insts.back();
 }

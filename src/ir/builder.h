@@ -42,6 +42,9 @@ class FunctionBuilder {
   // Makes `block` the insertion point.
   void SetBlock(uint32_t block);
   uint32_t CurrentBlock() const { return current_block_; }
+  // Whether the current block already ends in a terminator: nothing may be
+  // appended to it then.
+  bool BlockTerminated() const;
 
   Value Param(uint32_t i) const;
 

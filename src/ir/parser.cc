@@ -564,6 +564,15 @@ class Parser {
     return true;
   }
 
+  // Checks one precondition FunctionBuilder asserts, so that bad text gets
+  // an error line instead of reaching the builder.
+  bool Require(bool holds, const char* error) {
+    if (!holds) {
+      error_ = error;
+    }
+    return holds;
+  }
+
   bool ParseInstruction(Cursor& c, FunctionBuilder& fb) {
     std::string_view result_name;
     bool has_result = false;
@@ -581,6 +590,10 @@ class Parser {
     const std::string_view op = c.Ident();
     if (op.empty()) {
       error_ = "expected an opcode";
+      return false;
+    }
+    // A label may resume an open block, but not one a terminator ended.
+    if (!Require(!fb.BlockTerminated(), "instruction after the block's terminator")) {
       return false;
     }
 
@@ -610,7 +623,7 @@ class Parser {
         return false;
       }
       auto b = ParseOperand(c, fb);
-      if (!b) {
+      if (!b || !Require(a->type == b->type, "icmp operand type mismatch")) {
         return false;
       }
       return DefineReg(result_name, fb.ICmp(*pred, *a, *b));
@@ -631,6 +644,13 @@ class Parser {
       if (!a) {
         return false;
       }
+      const bool trunc = op == "trunc";
+      if (!Require(trunc ? BitWidth(to) <= BitWidth(a->type)
+                         : BitWidth(to) >= BitWidth(a->type),
+                   trunc ? "truncation widens the value"
+                         : "extension narrows the value")) {
+        return false;
+      }
       Value v = op == "zext"   ? fb.ZExt(*a, to)
                 : op == "sext" ? fb.SExt(*a, to)
                                : fb.Trunc(*a, to);
@@ -646,7 +666,8 @@ class Parser {
         return false;
       }
       auto b = ParseOperand(c, fb);
-      if (!b) {
+      if (!b || !Require(cond->type == Type::kI1, "select condition must be i1") ||
+          !Require(a->type == b->type, "select arm type mismatch")) {
         return false;
       }
       return DefineReg(result_name, fb.Select(*cond, *a, *b));
@@ -664,7 +685,7 @@ class Parser {
         return false;
       }
       auto p = ParseOperand(c, fb);
-      if (!p) {
+      if (!p || !Require(p->type == Type::kPtr, "load address must be ptr")) {
         return false;
       }
       return DefineReg(result_name, fb.Load(t, *p));
@@ -675,7 +696,7 @@ class Parser {
         return false;
       }
       auto p = ParseOperand(c, fb);
-      if (!p) {
+      if (!p || !Require(p->type == Type::kPtr, "store address must be ptr")) {
         return false;
       }
       fb.Store(*v, *p);
@@ -683,7 +704,8 @@ class Parser {
     }
     if (op == "gep") {
       auto p = ParseOperand(c, fb);
-      if (!p || !c.Consume(',')) {
+      if (!p || !Require(p->type == Type::kPtr, "gep base must be ptr") ||
+          !c.Consume(',')) {
         return false;
       }
       auto i = ParseOperand(c, fb);
@@ -707,7 +729,8 @@ class Parser {
     }
     if (op == "condbr") {
       auto cond = ParseOperand(c, fb);
-      if (!cond || !c.Consume(',')) {
+      if (!cond || !Require(cond->type == Type::kI1, "condbr condition must be i1") ||
+          !c.Consume(',')) {
         return false;
       }
       std::string_view l1 = c.Ident();
@@ -755,6 +778,9 @@ class Parser {
       auto fp = ParseOperand(c, fb);
       if (!fp || !c.Consume('(')) {
         error_ = "malformed indirect call";
+        return false;
+      }
+      if (!Require(fp->type == Type::kPtr, "indirect callee must be ptr")) {
         return false;
       }
       std::vector<Value> args;

@@ -17,7 +17,10 @@
 // Operands: %reg, typed literals ("i32 42", negative allowed), "null"
 // (ptr 0), @function (function address), $global (global address).
 // A literal must lie in [-2^63, 2^64 - 1]; sizes (global, bytes, alloca)
-// and gep scales in [1, 2^32 - 1].
+// and gep scales in [1, 2^32 - 1]. Each instruction must also meet what
+// FunctionBuilder asserts (operand types, ptr addresses, i1 conditions,
+// cast widths, nothing after a block's terminator); text that does not is
+// a one-line error, never an assert.
 //
 // The parse is linear in the text. Lines and tokens are views into `text`;
 // the module keeps none of them.

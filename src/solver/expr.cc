@@ -372,6 +372,14 @@ ExprRef MakeConcat(ExprRef high, ExprRef low) {
   if (high->IsConstValue(0)) {
     return MakeZExt(low, w);
   }
+  // Adjacent slices of one value rejoin: concat(extract(x, l+n, m),
+  // extract(x, l, n)) == extract(x, l, n+m), which is x itself at full
+  // width. A value stored byte by byte and loaded back is the value again.
+  if (high->kind() == ExprKind::kExtract && low->kind() == ExprKind::kExtract &&
+      high->aux() == low->aux() + low->width() &&
+      Expr::Equal(high->kids()[0], low->kids()[0])) {
+    return MakeExtract(low->kids()[0], static_cast<uint32_t>(low->aux()), w);
+  }
   return MakeNode(ExprKind::kConcat, w, 0, {std::move(high), std::move(low)});
 }
 

@@ -3,8 +3,10 @@
 // Expressions are reference-counted immutable nodes of width 1..64 bits.
 // Construction goes through the factory functions below, which constant-fold
 // and apply algebraic simplifications (so downstream code can rely on, e.g.,
-// a kConst node never having children). Boolean expressions are width-1
-// bitvectors.
+// a kConst node never having children). They also collapse byte-wise
+// reloads: MakeConcat rejoins adjacent extracts of one value, so a value
+// stored byte by byte and loaded back is the original node again. Boolean
+// expressions are width-1 bitvectors.
 #ifndef ESD_SRC_SOLVER_EXPR_H_
 #define ESD_SRC_SOLVER_EXPR_H_
 

@@ -16,50 +16,176 @@ using analysis::PointInterval;
 
 using RangeEnv = std::map<uint64_t, Interval>;
 
+// Inverse of an odd multiplier mod 2^64 (Newton: each step doubles the
+// number of correct low bits, 5 steps from a 3-bit-correct seed).
+uint64_t ModInverseOdd(uint64_t a) {
+  uint64_t x = a;
+  for (int i = 0; i < 5; ++i) {
+    x *= 2 - a * x;
+  }
+  return x;
+}
+
+// How SteerOnto reached (or missed) its target.
+enum class Steer {
+  kStuck,       // An operation it cannot invert, or a guess that missed.
+  kImpossible,  // Bijections only, and no value of the variable works.
+  kGuessed,     // Reached after some guess: one value that may work.
+  kExact,       // Bijections only: the value written is the only one.
+};
+
+// A result reached through a guess holds only for that guess.
+Steer AfterGuess(Steer s) {
+  switch (s) {
+    case Steer::kExact:
+      return Steer::kGuessed;
+    case Steer::kImpossible:
+      return Steer::kStuck;
+    default:
+      return s;
+  }
+}
+
+// Steers `e` to evaluate to `target` by descending through invertible
+// operations until a variable absorbs the residue; that variable's value is
+// written to `asg`. Add, sub and xor with a constant, an odd multiplier,
+// bitwise not and zext are bijections of the steered operand (zext onto its
+// range), so a walk made only of them is exact. With `guess`, the walk also
+// steps through a non-constant operand, pinned at its value under `asg`
+// (which the caller seeds for every variable), and through x * y by
+// parking one factor at 1. Without it, those steps stop the walk.
+Steer SteerOnto(const ExprRef& e, uint64_t target, bool guess,
+                std::map<uint64_t, uint64_t>* asg) {
+  target &= IntervalMask(e->width());
+  const std::vector<ExprRef>& kids = e->kids();
+  switch (e->kind()) {
+    case ExprKind::kVar:
+      (*asg)[e->aux()] = target;
+      return Steer::kExact;
+    case ExprKind::kConst:
+      return e->aux() == target ? Steer::kGuessed : Steer::kImpossible;
+    case ExprKind::kNot:
+      return SteerOnto(kids[0], ~target, guess, asg);
+    case ExprKind::kAdd:
+    case ExprKind::kXor:
+    case ExprKind::kSub: {
+      // The value of operand `i` that makes e == target, given the other.
+      auto undo = [&e, target](int i, uint64_t other) -> uint64_t {
+        switch (e->kind()) {
+          case ExprKind::kAdd:
+            return target - other;
+          case ExprKind::kXor:
+            return target ^ other;
+          default:
+            return i == 0 ? target + other : other - target;
+        }
+      };
+      if (kids[1]->IsConst()) {
+        return SteerOnto(kids[0], undo(0, kids[1]->aux()), guess, asg);
+      }
+      if (kids[0]->IsConst()) {
+        return SteerOnto(kids[1], undo(1, kids[0]->aux()), guess, asg);
+      }
+      if (!guess) {
+        return Steer::kStuck;
+      }
+      return AfterGuess(
+          SteerOnto(kids[0], undo(0, EvalExpr(kids[1], *asg)), guess, asg));
+    }
+    case ExprKind::kMul:
+      if (kids[1]->IsConst() && (kids[1]->aux() & 1) != 0) {
+        return SteerOnto(kids[0], target * ModInverseOdd(kids[1]->aux()), guess,
+                         asg);
+      }
+      if (kids[0]->IsConst() && (kids[0]->aux() & 1) != 0) {
+        return SteerOnto(kids[1], target * ModInverseOdd(kids[0]->aux()), guess,
+                         asg);
+      }
+      if (!guess) {
+        return Steer::kStuck;
+      }
+      // x * y: park one factor at 1 and steer the other.
+      for (int park = 1; park >= 0; --park) {
+        if (kids[park]->kind() == ExprKind::kVar) {
+          (*asg)[kids[park]->aux()] = 1;
+          return AfterGuess(SteerOnto(kids[1 - park], target, guess, asg));
+        }
+      }
+      return Steer::kStuck;
+    case ExprKind::kZExt:
+      if (target > IntervalMask(kids[0]->width())) {
+        return Steer::kImpossible;  // Above every zero-extended value.
+      }
+      return SteerOnto(kids[0], target, guess, asg);
+    default:
+      return Steer::kStuck;
+  }
+}
+
 // Step 1: narrow variable ranges from directly-refining constraint shapes.
 // Returns false when a narrowing is contradictory (component UNSAT).
 bool RefineEnv(const std::vector<ExprRef>& constraints, RangeEnv* env) {
   for (const ExprRef& c : constraints) {
     ExprKind k = c->kind();
-    if (k != ExprKind::kEq && k != ExprKind::kUlt && k != ExprKind::kUle) {
-      continue;
-    }
-    const ExprRef& lhs = c->kids()[0];
-    const ExprRef& rhs = c->kids()[1];
-    const Expr* var = nullptr;
-    uint64_t bound = 0;
-    bool var_on_left = false;
-    if (lhs->kind() == ExprKind::kVar && rhs->IsConst()) {
-      var = lhs.get();
-      bound = rhs->aux();
-      var_on_left = true;
-    } else if (rhs->kind() == ExprKind::kVar && lhs->IsConst()) {
-      var = rhs.get();
-      bound = lhs->aux();
+    const ExprRef* lhs = nullptr;
+    const ExprRef* rhs = nullptr;
+    if (k == ExprKind::kEq || k == ExprKind::kUlt || k == ExprKind::kUle) {
+      lhs = &c->kids()[0];
+      rhs = &c->kids()[1];
+    } else if (k == ExprKind::kNot &&
+               (c->kids()[0]->kind() == ExprKind::kUlt ||
+                c->kids()[0]->kind() == ExprKind::kUle)) {
+      // not(a < b) is b <= a, and not(a <= b) is b < a.
+      const ExprRef& cmp = c->kids()[0];
+      k = cmp->kind() == ExprKind::kUlt ? ExprKind::kUle : ExprKind::kUlt;
+      lhs = &cmp->kids()[1];
+      rhs = &cmp->kids()[0];
     } else {
       continue;
     }
-    uint32_t width = var->width();
-    uint64_t mask = IntervalMask(width);
-    Interval refine = FullInterval(width);
-    if (k == ExprKind::kEq) {
-      refine = PointInterval(bound, width);
-    } else if (k == ExprKind::kUlt) {
-      if (var_on_left) {
-        if (bound == 0) {
-          return false;  // v < 0: no unsigned value qualifies.
-        }
-        refine = Interval{0, bound - 1};
-      } else {
-        if (bound >= mask) {
-          return false;  // mask < v: nothing above the top value.
-        }
-        refine = Interval{bound + 1, mask};
-      }
-    } else {  // kUle
-      refine = var_on_left ? Interval{0, bound} : Interval{bound, mask};
+    bool const_on_right = (*rhs)->IsConst();
+    if (const_on_right == (*lhs)->IsConst()) {
+      continue;  // Needs exactly one constant side.
     }
-    auto [it, inserted] = env->emplace(var->aux(), refine);
+    const ExprRef& side = const_on_right ? *lhs : *rhs;
+    uint64_t bound = (const_on_right ? *rhs : *lhs)->aux();
+    uint64_t id = 0;
+    Interval refine;
+    if (k == ExprKind::kEq) {
+      // eq(f(x), C) with f a chain of bijections pins x to f^-1(C).
+      std::map<uint64_t, uint64_t> pin;
+      Steer s = SteerOnto(side, bound, /*guess=*/false, &pin);
+      if (s == Steer::kImpossible) {
+        return false;  // C lies outside f's range.
+      }
+      if (s != Steer::kExact) {
+        continue;
+      }
+      id = pin.begin()->first;
+      refine = Interval{pin.begin()->second, pin.begin()->second};
+    } else {
+      if (side->kind() != ExprKind::kVar) {
+        continue;
+      }
+      id = side->aux();
+      uint64_t mask = IntervalMask(side->width());
+      if (k == ExprKind::kUlt) {
+        if (const_on_right) {
+          if (bound == 0) {
+            return false;  // v < 0: no unsigned value qualifies.
+          }
+          refine = Interval{0, bound - 1};
+        } else {
+          if (bound >= mask) {
+            return false;  // mask < v: nothing above the top value.
+          }
+          refine = Interval{bound + 1, mask};
+        }
+      } else {  // kUle
+        refine = const_on_right ? Interval{0, bound} : Interval{bound, mask};
+      }
+    }
+    auto [it, inserted] = env->emplace(id, refine);
     if (!inserted) {
       std::optional<Interval> meet = IntervalIntersect(it->second, refine);
       if (!meet.has_value()) {
@@ -169,79 +295,6 @@ class IntervalEval {
   std::unordered_map<const Expr*, Interval> memo_;
 };
 
-// Inverse of an odd multiplier mod 2^64 (Newton: each step doubles the
-// number of correct low bits, 5 steps from a 3-bit-correct seed).
-uint64_t ModInverseOdd(uint64_t a) {
-  uint64_t x = a;
-  for (int i = 0; i < 5; ++i) {
-    x *= 2 - a * x;
-  }
-  return x;
-}
-
-// Steers `e` to evaluate to `target` by descending through invertible
-// operations until a variable absorbs the residue. Non-steered operands are
-// pinned at their value under the current assignment (which is total — the
-// caller seeds every variable first). A wrong or partial inversion is
-// harmless: the caller re-checks the whole component with EvalExpr.
-bool InvertOnto(const ExprRef& e, uint64_t target,
-                std::map<uint64_t, uint64_t>* asg) {
-  uint64_t mask = IntervalMask(e->width());
-  target &= mask;
-  switch (e->kind()) {
-    case ExprKind::kVar:
-      (*asg)[e->aux()] = target;
-      return true;
-    case ExprKind::kConst:
-      return (e->aux() & mask) == target;
-    case ExprKind::kAdd: {
-      const ExprRef& a = e->kids()[0];
-      const ExprRef& b = e->kids()[1];
-      if (a->IsConst()) {
-        return InvertOnto(b, target - a->aux(), asg);
-      }
-      return InvertOnto(a, target - EvalExpr(b, *asg), asg);
-    }
-    case ExprKind::kSub:
-      return InvertOnto(e->kids()[0], target + EvalExpr(e->kids()[1], *asg),
-                        asg);
-    case ExprKind::kXor: {
-      const ExprRef& a = e->kids()[0];
-      const ExprRef& b = e->kids()[1];
-      if (a->IsConst()) {
-        return InvertOnto(b, target ^ a->aux(), asg);
-      }
-      return InvertOnto(a, target ^ EvalExpr(b, *asg), asg);
-    }
-    case ExprKind::kMul: {
-      const ExprRef& a = e->kids()[0];
-      const ExprRef& b = e->kids()[1];
-      if (b->IsConst() && (b->aux() & 1) != 0) {
-        return InvertOnto(a, target * ModInverseOdd(b->aux()), asg);
-      }
-      if (a->IsConst() && (a->aux() & 1) != 0) {
-        return InvertOnto(b, target * ModInverseOdd(a->aux()), asg);
-      }
-      // x * y: park one factor at 1 and steer the other.
-      if (b->kind() == ExprKind::kVar) {
-        (*asg)[b->aux()] = 1;
-        return InvertOnto(a, target, asg);
-      }
-      if (a->kind() == ExprKind::kVar) {
-        (*asg)[a->aux()] = 1;
-        return InvertOnto(b, target, asg);
-      }
-      return false;
-    }
-    case ExprKind::kZExt: {
-      const ExprRef& a = e->kids()[0];
-      return target <= IntervalMask(a->width()) && InvertOnto(a, target, asg);
-    }
-    default:
-      return false;
-  }
-}
-
 }  // namespace
 
 RangeResult TryRangeDischarge(const std::vector<ExprRef>& constraints) {
@@ -264,10 +317,9 @@ RangeResult TryRangeDischarge(const std::vector<ExprRef>& constraints) {
   // Witness probes, each checked by exact evaluation so a wrong guess costs
   // nothing but this pass. First the point guesses (refined bounds, others
   // 0), then an equality-inversion pass: unsatisfied Eq conjuncts are
-  // steered onto a variable through invertible operation chains (add, xor,
-  // odd multipliers via the mod-2^64 inverse, var*var by parking one factor
-  // at 1) — the shape of the symbolic guard chains the synthesis branch
-  // feasibility checks keep re-asking.
+  // steered onto a variable by SteerOnto, guesses allowed (var*var parks
+  // one factor at 1) — the shape of the symbolic guard chains the synthesis
+  // branch feasibility checks keep re-asking.
   std::map<uint64_t, ExprRef> vars;
   for (const ExprRef& c : constraints) {
     CollectVars(c, &vars);
@@ -303,9 +355,11 @@ RangeResult TryRangeDischarge(const std::vector<ExprRef>& constraints) {
       if (c->kind() != ExprKind::kEq || EvalExpr(c, steered) != 0) {
         continue;
       }
-      if (!InvertOnto(c->kids()[0], EvalExpr(c->kids()[1], steered),
-                      &steered)) {
-        InvertOnto(c->kids()[1], EvalExpr(c->kids()[0], steered), &steered);
+      Steer s = SteerOnto(c->kids()[0], EvalExpr(c->kids()[1], steered),
+                          /*guess=*/true, &steered);
+      if (s == Steer::kStuck || s == Steer::kImpossible) {
+        SteerOnto(c->kids()[1], EvalExpr(c->kids()[0], steered),
+                  /*guess=*/true, &steered);
       }
     }
     if (Satisfies(steered)) {

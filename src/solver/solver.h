@@ -22,10 +22,12 @@
 //                    (query_cache.h) consulted by every `--jobs N` worker.
 //   3. range       — interval value-range discharge (range.h): per
 //                    component, after the caches miss, refine variable
-//                    ranges from eq/ult/ule-vs-constant conjuncts, refute
-//                    constraints whose interval is provably false, and
-//                    probe the refined point as a concrete witness. Guard
-//                    chains decided here never reach bit-blasting.
+//                    ranges from ult/ule-vs-constant conjuncts and their
+//                    negations, pin a variable to its only value under an
+//                    eq over a bijective chain (x * odd + c == magic),
+//                    refute constraints whose interval is provably false,
+//                    and probe the refined point as a concrete witness.
+//                    Guard chains decided here never reach bit-blasting.
 //   4. incremental — cache misses hit a persistent SatSolver + BitBlaster
 //                    session: constraints become assumption literals
 //                    (SatSolver::SolveAssuming), so learned clauses and

@@ -215,63 +215,112 @@ TEST(IntervalTest, LatticeOperations) {
 TEST(RangeDischargeTest, VerdictsAreTruthful) {
   using solver::ExprRef;
   Rng rng(0xabcdef12u);
-  int sat = 0, unsat = 0, unknown = 0;
+  auto k8 = [&rng](uint64_t mod) { return solver::MakeConst(8, rng.Next() % mod); };
+  auto all_true = [](const std::vector<ExprRef>& cs,
+                     const std::map<uint64_t, uint64_t>& asg) {
+    for (const ExprRef& c : cs) {
+      if (solver::EvalExpr(c, asg) == 0) {
+        return false;
+      }
+    }
+    return true;
+  };
+  auto satisfiable = [&all_true](const std::vector<ExprRef>& cs) {
+    std::map<uint64_t, uint64_t> asg;
+    for (uint32_t vx = 0; vx < 256; ++vx) {
+      for (uint32_t vy = 0; vy < 256; ++vy) {
+        asg[1] = vx;
+        asg[2] = vy;
+        if (all_true(cs, asg)) {
+          return true;
+        }
+      }
+    }
+    return false;
+  };
+  int sat = 0, unsat = 0, pinned_unsat = 0, unknown = 0;
   for (int iter = 0; iter < 400; ++iter) {
     ExprRef x = solver::MakeVar(1, 8, "x");
     ExprRef y = solver::MakeVar(2, 8, "y");
+    // x stored as two nibbles and loaded back: the factories rejoin it.
+    ExprRef x_reloaded = solver::MakeConcat(solver::MakeExtract(x, 4, 4),
+                                            solver::MakeExtract(x, 0, 4));
     // A guard-chain-shaped pool: arithmetic over x, y and small constants,
     // compared against random magics — the shapes synthesis actually emits.
+    // `chain` marks the eq conjuncts over a bijective chain of x alone.
     std::vector<ExprRef> pool;
+    std::vector<bool> chain;
+    auto add = [&pool, &chain](ExprRef c, bool is_chain) {
+      pool.push_back(std::move(c));
+      chain.push_back(is_chain);
+    };
     ExprRef ax = solver::MakeAdd(
         solver::MakeMul(x, solver::MakeConst(8, 1 + 2 * (rng.Next() % 8))),
-        solver::MakeConst(8, rng.Next() % 16));
+        k8(16));
     ExprRef mxy = solver::MakeMul(x, y);
-    pool.push_back(solver::MakeEq(ax, solver::MakeConst(8, rng.Next() % 256)));
-    pool.push_back(solver::MakeLogicalNot(
-        solver::MakeEq(mxy, solver::MakeConst(8, 1 + rng.Next() % 255))));
-    pool.push_back(
-        solver::MakeUlt(x, solver::MakeConst(8, 1 + rng.Next() % 255)));
-    pool.push_back(
-        solver::MakeUle(solver::MakeConst(8, rng.Next() % 256), y));
-    pool.push_back(solver::MakeEq(y, solver::MakeConst(8, rng.Next() % 256)));
+    add(solver::MakeEq(ax, k8(256)), true);
+    add(solver::MakeLogicalNot(
+            solver::MakeEq(mxy, solver::MakeConst(8, 1 + rng.Next() % 255))),
+        false);
+    ExprRef plain_bound =
+        solver::MakeUlt(x, solver::MakeConst(8, 1 + rng.Next() % 255));
+    add(plain_bound, false);
+    add(solver::MakeUle(k8(256), y), false);
+    add(solver::MakeEq(y, k8(256)), false);
+    add(solver::MakeEq(solver::MakeSub(k8(256), x), k8(256)), true);
+    add(solver::MakeEq(solver::MakeXor(x, k8(256)), k8(256)), true);
+    add(solver::MakeEq(solver::MakeNot(x), k8(256)), true);
+    add(solver::MakeLogicalNot(solver::MakeUlt(k8(256), x)), false);
+    add(solver::MakeLogicalNot(solver::MakeUle(x, k8(256))), false);
+    add(solver::MakeEq(solver::MakeAdd(x_reloaded, k8(16)), k8(256)), true);
+    add(solver::MakeUlt(solver::MakeConcat(y, x),
+                        solver::MakeConst(16, rng.Next() % 65536)),
+        false);
+    // Three conjuncts on average, so that sets stay satisfiable often.
     std::vector<ExprRef> constraints;
-    for (const ExprRef& c : pool) {
-      if (rng.Next() % 2 == 0) {
-        constraints.push_back(c);
+    std::vector<ExprRef> without_chains;
+    bool has_chain = false;
+    for (size_t i = 0; i < pool.size(); ++i) {
+      if (rng.Next() % 4 == 0) {
+        constraints.push_back(pool[i]);
+        if (chain[i]) {
+          has_chain = true;
+        } else {
+          without_chains.push_back(pool[i]);
+        }
       }
     }
     if (constraints.empty()) {
       constraints.push_back(pool[0]);
+      has_chain = true;
     }
     solver::RangeResult r = solver::TryRangeDischarge(constraints);
     if (r.outcome == solver::RangeResult::Outcome::kSat) {
       ++sat;
-      for (const ExprRef& c : constraints) {
-        ASSERT_NE(solver::EvalExpr(c, r.witness), 0u) << "bogus witness";
-      }
+      ASSERT_TRUE(all_true(constraints, r.witness)) << "bogus witness";
     } else if (r.outcome == solver::RangeResult::Outcome::kUnsat) {
       ++unsat;
-      for (uint32_t vx = 0; vx < 256; ++vx) {
-        for (uint32_t vy = 0; vy < 256; ++vy) {
-          std::map<uint64_t, uint64_t> asg{{1, vx}, {2, vy}};
-          bool all = true;
-          for (const ExprRef& c : constraints) {
-            if (solver::EvalExpr(c, asg) == 0) {
-              all = false;
-              break;
-            }
-          }
-          ASSERT_FALSE(all) << "kUnsat but satisfiable at x=" << vx
-                            << " y=" << vy;
-        }
+      ASSERT_FALSE(satisfiable(constraints)) << "kUnsat but satisfiable";
+      // With no plain bound on x, intervals alone never narrow x, and a
+      // chain over the full range of x spans the full range. So when the
+      // conjuncts besides the chains are satisfiable, only pinning x
+      // through a chain can have refuted the set.
+      bool plain_bounded = false;
+      for (const ExprRef& c : constraints) {
+        plain_bounded = plain_bounded || c.get() == plain_bound.get();
+      }
+      if (has_chain && !plain_bounded && satisfiable(without_chains)) {
+        ++pinned_unsat;
       }
     } else {
       ++unknown;
     }
   }
-  // The stage must actually fire on this pool, both ways.
+  // The stage must actually fire on this pool, both ways, and its pin must
+  // refute some sets on its own.
   EXPECT_GT(sat, 0);
   EXPECT_GT(unsat, 0);
+  EXPECT_GT(pinned_unsat, 0);
   (void)unknown;
 }
 

@@ -201,6 +201,34 @@ a:
   EXPECT_TRUE(Verify(m).empty());
 }
 
+// Text that breaks a FunctionBuilder precondition gets an error line; it
+// must never reach the builder, whose asserts abort a Debug build.
+TEST(ParserTest, ReportsWhatTheBuilderWouldAssert) {
+  // A label may resume an open block (above), not one a terminator ended.
+  ExpectParseError(
+      "func @main() : i32 {\nentry:\n  br b0\nb0:\n  ret i32 0\nb0:\n  ret i32 1\n}\n", 7,
+      "terminator");
+  ExpectParseError(
+      "func @f() : void {\nentry:\n  %v = add i32 1, i32 2\n  store i32 1, %v\n  ret\n}\n", 4,
+      "store address must be ptr");
+  const std::string head = "func @f(%a: i32, %b: i8, %p: ptr) : void {\nentry:\n";
+  const std::pair<const char*, const char*> cases[] = {
+      {"%c = icmp eq %a, %b", "icmp operand type mismatch"},
+      {"%c = zext i8, %a", "extension narrows"},
+      {"%c = sext i16, %a", "extension narrows"},
+      {"%c = trunc i64, %a", "truncation widens"},
+      {"%c = select %a, %b, %b", "select condition must be i1"},
+      {"%c = select i1 1, %a, %b", "select arm type mismatch"},
+      {"%c = load i32, %a", "load address must be ptr"},
+      {"%c = gep %a, i64 1, 4", "gep base must be ptr"},
+      {"condbr %a, entry, entry", "condbr condition must be i1"},
+      {"calli void %a()", "indirect callee must be ptr"},
+  };
+  for (const auto& [inst, what] : cases) {
+    ExpectParseError(head + "  " + inst + "\n  ret\n}\n", 3, what);
+  }
+}
+
 TEST(ParserTest, BlockLabelledEntryAfterRenamedEntry) {
   // The first label renames the entry block, so a later "entry:" is a block
   // of its own, not the entry block under its old name.

@@ -325,6 +325,54 @@ entry:
   EXPECT_LT(confirmed, static_cast<int>(validated.size()));
 }
 
+// A search stopped by its budget decides nothing: a real AB-BA deadlock
+// whose search cannot reach it within the instruction budget is reported
+// as kBudget, never as exhausted (which esdcheck reads as a false
+// positive).
+TEST(WarningValidationTest, BudgetStopIsNotExhaustion) {
+  auto module = workloads::ParseWorkload(R"(
+global $a = zero 8
+global $b = zero 8
+func @fwd(%x: ptr) : void {
+entry:
+  call @mutex_lock($a)
+  call @mutex_lock($b)
+  call @mutex_unlock($b)
+  call @mutex_unlock($a)
+  ret
+}
+func @rev(%x: ptr) : void {
+entry:
+  call @mutex_lock($b)
+  call @mutex_lock($a)
+  call @mutex_unlock($a)
+  call @mutex_unlock($b)
+  ret
+}
+func @main() : i32 {
+entry:
+  %t1 = call @thread_create(@fwd, null)
+  %t2 = call @thread_create(@rev, null)
+  call @thread_join(%t1)
+  call @thread_join(%t2)
+  ret i32 0
+}
+)");
+  core::SynthesisOptions options;
+  options.time_cap_seconds = 15.0;
+  auto validated = core::ValidateLockOrderWarnings(*module, options);
+  ASSERT_EQ(validated.size(), 1u);
+  ASSERT_TRUE(validated[0].confirmed) << validated[0].synthesis.failure_reason;
+  EXPECT_EQ(validated[0].synthesis.stop, core::SynthesisResult::Stop::kGoal);
+
+  options.max_instructions = 3;
+  validated = core::ValidateLockOrderWarnings(*module, options);
+  ASSERT_EQ(validated.size(), 1u);
+  EXPECT_FALSE(validated[0].confirmed);
+  EXPECT_EQ(validated[0].synthesis.stop, core::SynthesisResult::Stop::kBudget)
+      << validated[0].synthesis.failure_reason;
+}
+
 TEST(WarningValidationTest, ConfirmedWarningReplays) {
   workloads::Workload w = workloads::MakeWorkload("hawknl");
   core::SynthesisOptions options;

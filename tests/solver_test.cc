@@ -1,5 +1,6 @@
 // Unit tests for the expression DAG, simplifier, bit-blaster, and SAT core.
 #include <cstdint>
+#include <map>
 #include <random>
 
 #include <gtest/gtest.h>
@@ -56,6 +57,50 @@ TEST(ExprTest, ExtractConcatComposition) {
   ExprRef z = MakeZExt(x, 32);
   EXPECT_TRUE(MakeExtract(z, 16, 8)->IsConstValue(0));
   EXPECT_EQ(MakeExtract(z, 0, 8).get(), x.get());
+}
+
+// A value stored byte by byte and loaded back, in the interpreter's
+// little-endian LoadBytes order: concat(byte_i, acc) for i = 1..n-1.
+ExprRef ReloadBytes(const ExprRef& stored, uint32_t first_byte, uint32_t bytes) {
+  ExprRef value = MakeExtract(stored, first_byte * 8, 8);
+  for (uint32_t i = 1; i < bytes; ++i) {
+    value = MakeConcat(MakeExtract(stored, (first_byte + i) * 8, 8), value);
+  }
+  return value;
+}
+
+TEST(ExprTest, ByteWiseReloadCollapsesOnlyAdjacentSlicesOfOneValue) {
+  ExprRef x = MakeVar(1, 32, "x");
+  ExprRef y = MakeVar(2, 32, "y");
+  EXPECT_EQ(ReloadBytes(x, 0, 4).get(), x.get());
+  ExprRef mid = ReloadBytes(x, 1, 2);
+  ASSERT_EQ(mid->kind(), ExprKind::kExtract);
+  EXPECT_EQ(mid->aux(), 8u);
+  EXPECT_EQ(mid->width(), 16u);
+  EXPECT_EQ(mid->kids()[0].get(), x.get());
+  // Non-adjacent bytes, reversed order and bytes of two sources stay joined.
+  auto byte = [](const ExprRef& v, uint32_t i) { return MakeExtract(v, i * 8, 8); };
+  EXPECT_EQ(MakeConcat(byte(x, 2), byte(x, 0))->kind(), ExprKind::kConcat);
+  EXPECT_EQ(MakeConcat(byte(x, 0), byte(x, 1))->kind(), ExprKind::kConcat);
+  EXPECT_EQ(MakeConcat(byte(y, 1), byte(x, 0))->kind(), ExprKind::kConcat);
+}
+
+TEST(ExprTest, CollapsedReloadEvaluatesLikeTheBytes) {
+  ExprRef x = MakeVar(1, 32, "x");
+  ExprRef y = MakeVar(2, 32, "y");
+  // Bytes 1-3 of x below byte 0 of y: the x run collapses, the join stays.
+  ExprRef mixed = MakeConcat(MakeExtract(y, 0, 8), ReloadBytes(x, 1, 3));
+  ASSERT_EQ(mixed->kind(), ExprKind::kConcat);
+  ASSERT_EQ(mixed->kids()[1]->kind(), ExprKind::kExtract);
+  ExprRef middle = ReloadBytes(x, 1, 2);
+  std::mt19937_64 rng(20211);
+  for (int i = 0; i < 100; ++i) {
+    uint64_t vx = rng() & 0xffffffff;
+    uint64_t vy = rng() & 0xffffffff;
+    std::map<uint64_t, uint64_t> env{{1, vx}, {2, vy}};
+    EXPECT_EQ(EvalExpr(mixed, env), ((vy & 0xff) << 24) | (vx >> 8));
+    EXPECT_EQ(EvalExpr(middle, env), (vx >> 8) & 0xffff);
+  }
 }
 
 TEST(ExprTest, EvalMatchesFold) {
@@ -508,6 +553,20 @@ TEST(PartitionTest, UnsatComponentDecidesConjunction) {
   EXPECT_FALSE(solver.IsSatisfiable({MakeEq(y, MakeConst(32, 5)),
                                      MakeUlt(x, MakeConst(32, 4)),
                                      MakeUlt(MakeConst(32, 9), x)}));
+}
+
+// An input guard x*35 + 55 == 12200 has one solution, x = 347; a bound
+// x <= 67, written as !(67 < x), excludes it. The range stage pins x
+// through the bijective chain and refutes the pair without a SAT call.
+TEST(SolverTest, RangeStagePinsBijectiveGuardAgainstNegatedBound) {
+  ExprRef x = MakeVar(1, 32, "x");
+  ExprRef guard = MakeEq(MakeAdd(MakeMul(x, MakeConst(32, 35)), MakeConst(32, 55)),
+                         MakeConst(32, 12200));
+  ExprRef bound = MakeLogicalNot(MakeUlt(MakeConst(32, 67), x));
+  ConstraintSolver solver;
+  EXPECT_FALSE(solver.IsSatisfiable({guard, bound}));
+  EXPECT_EQ(solver.stats().range_unsat, 1u);
+  EXPECT_EQ(solver.stats().sat_calls, 0u);
 }
 
 // ---- Query-cache satellites ------------------------------------------------

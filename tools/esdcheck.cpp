@@ -4,8 +4,9 @@
 //
 // Runs the RacerX-style lock-order checker, then validates each warning by
 // asking ESD to synthesize an execution that actually deadlocks at the two
-// reported acquisition sites. Warnings ESD cannot realize are reported as
-// probable false positives.
+// reported acquisition sites. Warnings whose search space ESD exhausts are
+// reported as probable false positives; a search that runs out of budget
+// leaves its warning undecided.
 #include <iostream>
 #include <string>
 
@@ -20,8 +21,9 @@ void Usage(std::ostream& os = std::cerr) {
      << "\n"
      << "Runs the RacerX-style static lock-order checker, then validates\n"
      << "each warning by asking ESD to synthesize an execution that actually\n"
-     << "deadlocks at the reported acquisition sites. Warnings ESD cannot\n"
-     << "realize are reported as probable false positives.\n"
+     << "deadlocks at the reported acquisition sites. Warnings whose search\n"
+     << "space ESD exhausts are reported as probable false positives; a\n"
+     << "search that runs out of budget leaves its warning undecided.\n"
      << "\n"
      << "options:\n"
      << "  --time-cap SECONDS  synthesis budget per warning (default 30)\n"
@@ -94,9 +96,13 @@ int main(int argc, char** argv) {
       std::cout << "  [" << i << "] TRUE POSITIVE: deadlock synthesized in "
                 << v.synthesis.seconds << "s (fingerprint "
                 << replay::Fingerprint(v.synthesis.file) << ")\n";
-    } else {
+    } else if (v.synthesis.stop == core::SynthesisResult::Stop::kExhausted) {
       std::cout << "  [" << i << "] probable false positive: no execution found ("
                 << v.synthesis.failure_reason << ")\n";
+    } else if (v.synthesis.stop == core::SynthesisResult::Stop::kBudget) {
+      std::cout << "  [" << i << "] undecided: search budget exhausted\n";
+    } else {
+      std::cout << "  [" << i << "] undecided: " << v.synthesis.failure_reason << "\n";
     }
   }
   std::cout << "\nesdcheck: " << confirmed << "/" << validated.size()
