@@ -33,6 +33,7 @@
 #include "bench/arith_workloads.h"
 #include "bench/bench_common.h"
 #include "bench/bench_json.h"
+#include "bench/passes_showcase.h"
 #include "src/core/synthesizer.h"
 #include "src/ir/parser.h"
 #include "src/ir/passes/passes.h"
@@ -54,30 +55,6 @@ bool SmokeMode() {
   return env != nullptr && std::atoi(env) != 0;
 }
 
-// Known-rewritable module for the static check: a branch pinned by a
-// constant chain, whose condition has no other user once the branch is
-// elided. Both passes must fire here, every release.
-constexpr char kShowcase[] = R"(
-global $g = zero 4
-func @compute(%x: i32) : i32 {
-entry:
-  %five = add i32 2, i32 3
-  %c = icmp eq %five, i32 5
-  condbr %c, live, dead
-live:
-  %r = add %x, %five
-  ret %r
-dead:
-  %d = mul %x, i32 99
-  ret %d
-}
-func @main() : i32 {
-entry:
-  %v = call @compute(i32 1)
-  store %v, $g
-  ret i32 0
-}
-)";
 
 }  // namespace
 
@@ -157,7 +134,7 @@ int main() {
   // Static check: both passes fire on the showcase module.
   ir::Module showcase;
   ir::ParseResult parsed = ir::ParseModule(
-      std::string(workloads::ExternsPreamble()) + kShowcase, &showcase);
+      std::string(workloads::ExternsPreamble()) + bench::kPassesShowcase, &showcase);
   if (!parsed.ok) {
     std::fprintf(stderr, "bench_passes: showcase parse error: %s\n",
                  parsed.error.c_str());

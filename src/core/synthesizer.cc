@@ -20,11 +20,13 @@ SynthesisResult Synthesizer::SynthesizeGoal(const Goal& goal) {
     return result;
   }
 
-  // 1b. Pre-synthesis IR optimization: copy the module, run the
-  // trace-preserving pass pipeline on the copy, and search on it. Goal
-  // coordinates need no remapping (coordinate stability) and the emitted
-  // execution file replays against the original module. A verifier or
-  // coordinate-check failure falls back to the unoptimized module.
+  // 1b. Pre-synthesis IR optimization: run the trace-preserving pass
+  // pipeline and search on its output. The pipeline copies the module only
+  // when a pass has a rewrite to apply; with none, the search runs on the
+  // parsed module itself. Goal coordinates need no remapping (coordinate
+  // stability) and the emitted execution file replays against the original
+  // module. A verifier or coordinate-check failure falls back to the
+  // unoptimized module.
   std::optional<ir::Module> optimized;
   const ir::Module* search_module = module_;
   // Setup-phase event sink: the pass pipeline and the static analyses run
@@ -46,12 +48,8 @@ SynthesisResult Synthesizer::SynthesizeGoal(const Goal& goal) {
         }
       }
     }
-    optimized = *module_;
-    if (ir::passes::PassManager().Run(&*optimized, prot, &result.pass_stats)) {
-      search_module = &*optimized;
-    } else {
-      optimized.reset();  // Pipeline aborted: search the original.
-    }
+    search_module = ir::passes::PassManager().Run(*module_, prot,
+                                                  &result.pass_stats, &optimized);
   }
 
   // 2. Static phase (§3.2): distance tables, critical edges, intermediate

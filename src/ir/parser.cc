@@ -243,10 +243,12 @@ std::optional<CmpPred> ParsePred(std::string_view word) {
 
 class Parser {
  public:
-  Parser(std::string_view text, Module* module)
-      : reader_(text), module_(module), builder_(module) {}
+  explicit Parser(Module* module) : reader_({}), module_(module), builder_(module) {}
 
-  ParseResult Run() {
+  // Parses `text` into the module, after whatever earlier Runs added. Line
+  // numbers in errors count from the start of `text`.
+  ParseResult Run(std::string_view text) {
+    reader_ = LineReader(text);
     Line line;
     while (reader_.Next(&line)) {
       Cursor c(line.text);
@@ -828,7 +830,14 @@ class Parser {
 }  // namespace
 
 ParseResult ParseModule(std::string_view text, Module* module) {
-  return Parser(text, module).Run();
+  return Parser(module).Run(text);
+}
+
+ParseResult ParseModule(std::string_view prelude, std::string_view text,
+                        Module* module) {
+  Parser parser(module);
+  ParseResult r = parser.Run(prelude);
+  return r.ok ? parser.Run(text) : r;
 }
 
 }  // namespace esd::ir

@@ -43,6 +43,12 @@ struct ParseResult {
 // contents are unspecified.
 ParseResult ParseModule(std::string_view text, Module* module);
 
+// Parses `prelude` and then `text` into `module`, giving the module that
+// parsing their concatenation gives (`prelude` must end at a line end), but
+// an error in `text` names its line in `text`.
+ParseResult ParseModule(std::string_view prelude, std::string_view text,
+                        Module* module);
+
 }  // namespace esd::ir
 
 #endif  // ESD_SRC_IR_PARSER_H_

@@ -9,22 +9,21 @@ namespace esd::ir::passes {
 // the same block. The branch instruction stays in its slot (one dynamic
 // step either way), so traces are unchanged; the search, however, stops
 // forking states at the dead edge.
-uint64_t BranchElidePass(Module* m, const ProtectedSites& prot,
-                         PassStats* stats) {
-  uint64_t elided = 0;
-  for (uint32_t f = 0; f < m->NumFunctions(); ++f) {
-    Function& fn = m->Func(f);
+Rewrites FindBranchElisions(const Module& m, const ProtectedSites& prot) {
+  Rewrites elisions;
+  for (uint32_t f = 0; f < m.NumFunctions(); ++f) {
+    const Function& fn = m.Func(f);
     if (fn.is_external || fn.blocks.empty()) {
       continue;
     }
-    analysis::Cfg cfg(*m, f);
+    analysis::Cfg cfg(m, f);
     analysis::RangeAnalysis ranges(fn, cfg);
     for (uint32_t b = 0; b < fn.blocks.size(); ++b) {
       if (fn.blocks[b].insts.empty()) {
         continue;
       }
       uint32_t last = static_cast<uint32_t>(fn.blocks[b].insts.size() - 1);
-      Instruction& term = fn.blocks[b].insts[last];
+      const Instruction& term = fn.blocks[b].insts[last];
       if (term.op != Opcode::kCondBr || prot.IsProtectedSite(f, b, last)) {
         continue;
       }
@@ -42,15 +41,15 @@ uint64_t BranchElidePass(Module* m, const ProtectedSites& prot,
       if (target == kInvalidIndex) {
         continue;
       }
-      term.op = Opcode::kBr;
-      term.succ_true = target;
-      term.succ_false = kInvalidIndex;
-      term.operands.clear();
-      ++elided;
+      Instruction br = term;
+      br.op = Opcode::kBr;
+      br.succ_true = target;
+      br.succ_false = kInvalidIndex;
+      br.operands.clear();
+      elisions.emplace_back(InstRef{f, b, last}, std::move(br));
     }
   }
-  stats->elided_branches += elided;
-  return elided;
+  return elisions;
 }
 
 }  // namespace esd::ir::passes

@@ -1,4 +1,5 @@
-#include <set>
+#include <algorithm>
+#include <vector>
 
 #include "src/ir/passes/passes.h"
 
@@ -31,57 +32,61 @@ bool IsNeutralizable(Opcode op) {
   }
 }
 
-// Neutralizes dead register arithmetic: the result is used nowhere, so the
-// instruction's operands are re-pointed at zeros of their types. The slot
-// still executes (trace equality) but no longer keeps its inputs live —
-// symbolic values feeding only dead arithmetic stop reaching the solver.
-uint64_t NeutralizeDead(Function& fn, uint32_t f, const ProtectedSites& prot) {
-  std::set<uint32_t> used;
+// Finds dead register arithmetic: the result is used nowhere, so the
+// instruction's operands can be re-pointed at zeros of their types. The
+// slot still executes (trace equality) but no longer keeps its inputs live
+// — symbolic values feeding only dead arithmetic stop reaching the solver.
+// Instructions whose operands are all zeros already are not rewrites.
+void FindDead(const Function& fn, uint32_t f, const ProtectedSites& prot,
+              Rewrites* rewrites) {
+  std::vector<bool> used(fn.num_regs, false);
   for (const BasicBlock& bb : fn.blocks) {
     for (const Instruction& inst : bb.insts) {
       for (const Value& v : inst.operands) {
         if (v.kind == Value::Kind::kReg) {
-          used.insert(v.index);
+          if (v.index >= used.size()) {
+            used.resize(v.index + 1, false);
+          }
+          used[v.index] = true;
         }
       }
     }
   }
-  uint64_t neutralized = 0;
+  auto is_zero = [](const Value& v) {
+    return v.kind == Value::Kind::kConst && v.imm == 0;
+  };
   for (uint32_t b = 0; b < fn.blocks.size(); ++b) {
     for (uint32_t i = 0; i < fn.blocks[b].insts.size(); ++i) {
-      Instruction& inst = fn.blocks[b].insts[i];
+      const Instruction& inst = fn.blocks[b].insts[i];
       if (inst.result < 0 || !IsNeutralizable(inst.op) ||
-          used.count(static_cast<uint32_t>(inst.result)) > 0 ||
-          prot.IsProtectedSite(f, b, i)) {
+          (static_cast<size_t>(inst.result) < used.size() &&
+           used[static_cast<size_t>(inst.result)]) ||
+          prot.IsProtectedSite(f, b, i) ||
+          std::all_of(inst.operands.begin(), inst.operands.end(), is_zero)) {
         continue;
       }
-      bool changed = false;
-      for (Value& v : inst.operands) {
-        if (v.kind != Value::Kind::kConst || v.imm != 0) {
+      Instruction zeroed = inst;
+      for (Value& v : zeroed.operands) {
+        if (!is_zero(v)) {
           v = Value::Const(v.type, 0);
-          changed = true;
         }
       }
-      if (changed) {
-        ++neutralized;
-      }
+      rewrites->emplace_back(InstRef{f, b, i}, std::move(zeroed));
     }
   }
-  return neutralized;
 }
 
 }  // namespace
 
-uint64_t DcePass(Module* m, const ProtectedSites& prot, PassStats* stats) {
-  uint64_t neutralized = 0;
-  for (uint32_t f = 0; f < m->NumFunctions(); ++f) {
-    Function& fn = m->Func(f);
+Rewrites FindDeadArithmetic(const Module& m, const ProtectedSites& prot) {
+  Rewrites rewrites;
+  for (uint32_t f = 0; f < m.NumFunctions(); ++f) {
+    const Function& fn = m.Func(f);
     if (!fn.is_external) {
-      neutralized += NeutralizeDead(fn, f, prot);
+      FindDead(fn, f, prot, &rewrites);
     }
   }
-  stats->neutralized_insts += neutralized;
-  return neutralized;
+  return rewrites;
 }
 
 }  // namespace esd::ir::passes

@@ -24,35 +24,49 @@ BlockSizes BlockSizesOf(const Module& m) {
   return sizes;
 }
 
-// Runs one pass and counts it. A pass that rewrote something must leave a
-// module that verifies and keeps the pre-pipeline block sizes. Returns the
-// rewrite count, or nothing when that check failed.
-std::optional<uint64_t> RunChecked(
-    uint64_t (*pass)(Module*, const ProtectedSites&, PassStats*), Module* m,
-    const ProtectedSites& prot, PassStats* stats, const BlockSizes& before) {
-  uint64_t n = pass(m, prot, stats);
-  CountEvent(&EventCounters::ir_passes_run);
-  if (n > 0 && (!Verify(*m).empty() || BlockSizesOf(*m) != before)) {
-    return std::nullopt;
-  }
-  return n;
-}
-
-}  // namespace
-
-bool PassManager::Run(Module* m, const ProtectedSites& prot,
-                      PassStats* stats) {
+// The one pipeline behind both Run overloads. Each pass finds its rewrites
+// on the current module: `m` until the first rewrite, then the module
+// `writable()` returns, which the first rewrite asks for (it may be a copy
+// of `m`). A pass that rewrote something must leave a module that verifies
+// and keeps the pre-pipeline block sizes. Returns false when that check
+// failed.
+template <typename Writable>
+bool RunPipeline(const Module& m, const ProtectedSites& prot, PassStats* stats,
+                 Writable writable) {
   PassStats local;
   if (stats == nullptr) {
     stats = &local;
   }
-  const BlockSizes before = BlockSizesOf(*m);
-  if (!RunChecked(BranchElidePass, m, prot, stats, before)) {
+  const Module* current = &m;
+  Module* out = nullptr;
+  BlockSizes before;
+  // Runs one pass and counts it. Returns the rewrite count, or nothing when
+  // the check failed.
+  auto run = [&](Rewrites (*find)(const Module&, const ProtectedSites&),
+                 uint64_t PassStats::*counter) -> std::optional<size_t> {
+    Rewrites rewrites = find(*current, prot);
+    CountEvent(&EventCounters::ir_passes_run);
+    stats->*counter += rewrites.size();
+    if (rewrites.empty()) {
+      return 0;
+    }
+    if (out == nullptr) {
+      before = BlockSizesOf(m);
+      out = writable();
+      current = out;
+    }
+    ApplyRewrites(rewrites, out);
+    if (!Verify(*out).empty() || BlockSizesOf(*out) != before) {
+      return std::nullopt;
+    }
+    return rewrites.size();
+  };
+  if (!run(FindBranchElisions, &PassStats::elided_branches)) {
     return false;
   }
   // Each round neutralizes the definitions the previous one left unused.
   for (;;) {
-    std::optional<uint64_t> n = RunChecked(DcePass, m, prot, stats, before);
+    std::optional<size_t> n = run(FindDeadArithmetic, &PassStats::neutralized_insts);
     if (!n) {
       return false;
     }
@@ -60,6 +74,30 @@ bool PassManager::Run(Module* m, const ProtectedSites& prot,
       return true;
     }
   }
+}
+
+}  // namespace
+
+void ApplyRewrites(const Rewrites& rewrites, Module* m) {
+  for (const auto& [site, inst] : rewrites) {
+    m->Func(site.func).blocks[site.block].insts[site.inst] = inst;
+  }
+}
+
+const Module* PassManager::Run(const Module& m, const ProtectedSites& prot,
+                               PassStats* stats, std::optional<Module>* copy) {
+  copy->reset();
+  if (RunPipeline(m, prot, stats, [&] { return &copy->emplace(m); }) &&
+      copy->has_value()) {
+    return &**copy;
+  }
+  copy->reset();  // Nothing rewritten, or a check failed: search `m`.
+  return &m;
+}
+
+bool PassManager::Run(Module* m, const ProtectedSites& prot,
+                      PassStats* stats) {
+  return RunPipeline(*m, prot, stats, [m] { return m; });
 }
 
 }  // namespace esd::ir::passes

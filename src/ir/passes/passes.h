@@ -1,8 +1,9 @@
 // Pre-synthesis IR optimization pipeline.
 //
-// The synthesizer copies the module, optimizes the copy, and searches on
-// it; the execution file it emits is replayed against the ORIGINAL module.
-// Every pass therefore preserves two invariants:
+// The synthesizer searches the pipeline's output (an optimized copy of the
+// module, or the module itself when nothing was rewritten); the execution
+// file it emits is replayed against the ORIGINAL module. Every pass
+// therefore preserves two invariants:
 //
 //   1. Coordinate stability. The (function, block, instruction) address of
 //      every instruction is unchanged — execution files record scheduler
@@ -18,14 +19,21 @@
 // The sequence is fixed: branch elision runs once, then dead-arithmetic
 // neutralization repeats until it rewrites nothing. A neutralized result
 // has no users, so it feeds no branch and the two passes reach a joint
-// fixpoint. After every pass that rewrote something, the pass manager runs
-// the verifier and checks that every block kept its size; a failure aborts
-// the pipeline and the synthesizer falls back to the original module.
+// fixpoint. Each pass finds its rewrites on a module it does not modify,
+// so the module is copied only when the pipeline has a rewrite to apply:
+// most modules have none, and the search then runs on the parsed module
+// itself, which is what the copy would have been. After every pass that
+// rewrote something, the pass manager runs the verifier and checks that
+// every block kept its size; a failure aborts the pipeline and the
+// synthesizer falls back to the original module.
 #ifndef ESD_SRC_IR_PASSES_PASSES_H_
 #define ESD_SRC_IR_PASSES_PASSES_H_
 
 #include <cstdint>
+#include <optional>
 #include <set>
+#include <utility>
+#include <vector>
 
 #include "src/ir/module.h"
 
@@ -51,24 +59,36 @@ struct PassStats {
   uint64_t TotalRewrites() const { return elided_branches + neutralized_insts; }
 };
 
-// Each pass mutates `m` in place, bumps its PassStats category, and
-// returns the number of rewrites it performed.
-//
+// The rewrites one pass found on a module it did not modify: each names an
+// instruction slot and the instruction that replaces the one there.
+// ApplyRewrites puts them into that module or into a copy of it.
+using Rewrites = std::vector<std::pair<InstRef, Instruction>>;
+void ApplyRewrites(const Rewrites& rewrites, Module* m);
+
 // Branch elision: a condbr whose condition range is pinned to one boolean,
 // or whose edges agree, becomes a br toward the edge it takes.
-uint64_t BranchElidePass(Module* m, const ProtectedSites& prot,
-                         PassStats* stats);
+Rewrites FindBranchElisions(const Module& m, const ProtectedSites& prot);
 // Dead-arithmetic neutralization: pure arithmetic whose result has no user
 // gets its operands re-pointed at zeros. One run sees only the uses left
 // before it, so a chain of dead definitions needs one run per link.
-uint64_t DcePass(Module* m, const ProtectedSites& prot, PassStats* stats);
+Rewrites FindDeadArithmetic(const Module& m, const ProtectedSites& prot);
 
 class PassManager {
  public:
-  // Runs the pipeline. Returns true on success; false when a verifier or
-  // coordinate-check failure aborted it (the module may then be partially
-  // rewritten — callers should discard it and use the original). `stats`
-  // (optional) accumulates rewrite counts.
+  // Runs the pipeline over `m`, which it does not modify, and returns the
+  // module to search. That is the optimized copy, held in `*copy`, when
+  // some pass rewrote something and every check passed. Otherwise it is
+  // `&m` and `*copy` is empty: no pass had anything to rewrite (`m` is
+  // already the pipeline's output, and nothing was copied) or a verifier
+  // or coordinate check failed. `stats` (optional) accumulates rewrite
+  // counts.
+  const Module* Run(const Module& m, const ProtectedSites& prot,
+                    PassStats* stats, std::optional<Module>* copy);
+
+  // The same pipeline, rewriting `m` in place. Returns true on success;
+  // false when a verifier or coordinate-check failure aborted it (the
+  // module may then be partially rewritten — callers should discard it and
+  // use the original).
   bool Run(Module* m, const ProtectedSites& prot, PassStats* stats = nullptr);
 };
 

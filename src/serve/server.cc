@@ -2,9 +2,7 @@
 
 #include <cstdlib>
 
-#include "src/ir/parser.h"
 #include "src/ir/printer.h"
-#include "src/ir/verifier.h"
 #include "src/replay/execution_file.h"
 #include "src/report/coredump.h"
 #include "src/workloads/workloads.h"
@@ -59,19 +57,11 @@ JobResult Server::Process(const Job& job) {
   out.job_id = job.id;
 
   // Parse + verify the module, exactly like the one-shot tools do.
-  std::string source = job.module_text;
-  if (source.find("extern @getchar") == std::string::npos) {
-    source = std::string(workloads::ExternsPreamble()) + source;
-  }
-  auto module = std::make_shared<ir::Module>();
-  ir::ParseResult pr = ir::ParseModule(source, module.get());
-  if (!pr.ok) {
-    out.error = job.module_path + ": " + pr.error;
-    return out;
-  }
-  auto verify_errors = ir::Verify(*module);
-  if (!verify_errors.empty()) {
-    out.error = job.module_path + ": " + verify_errors[0];
+  std::string load_error;
+  std::shared_ptr<ir::Module> module =
+      workloads::ParseProgram(job.module_text, &load_error);
+  if (module == nullptr) {
+    out.error = job.module_path + ": " + load_error;
     return out;
   }
   out.module_digest = ir::ModuleDigest(*module);

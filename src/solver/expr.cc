@@ -1,7 +1,9 @@
 #include "src/solver/expr.h"
 
+#include <algorithm>
 #include <array>
 #include <cassert>
+#include <cstddef>
 #include <functional>
 #include <set>
 #include <sstream>
@@ -105,11 +107,28 @@ bool IsCommutative(ExprKind kind) {
   }
 }
 
-ExprRef MakeNode(ExprKind kind, uint32_t width, uint64_t aux, std::vector<ExprRef> kids,
-                 std::string name = {}) {
+size_t NodeHash(ExprKind kind, uint32_t width, uint64_t aux,
+                const std::vector<ExprRef>& kids) {
+  size_t h = HashCombine(static_cast<size_t>(kind), width);
+  h = HashCombine(h, static_cast<size_t>(aux));
+  for (const ExprRef& k : kids) {
+    h = HashCombine(h, k->hash());
+  }
+  return h;
+}
+
+// A kVar node: the one kind that carries a name, so no other node pays for
+// a std::string.
+struct VarExpr final : Expr {
+  VarExpr(uint32_t width, uint64_t id, std::string input_name)
+      : Expr(VarTag{}, width, id), name(std::move(input_name)) {}
+  std::string name;
+};
+
+ExprRef MakeNode(ExprKind kind, uint32_t width, uint64_t aux, std::vector<ExprRef> kids) {
   CountEvent(&EventCounters::expr_allocs);
   return std::allocate_shared<Expr>(core::ArenaAllocator<Expr>(), kind, width, aux,
-                                    std::move(kids), std::move(name));
+                                    std::move(kids));
 }
 
 // Generic simplifying binary constructor for arithmetic/bitwise kinds
@@ -205,17 +224,45 @@ ExprRef MakeBinary(ExprKind kind, ExprRef a, ExprRef b) {
 
 }  // namespace
 
-Expr::Expr(ExprKind kind, uint32_t width, uint64_t aux, std::vector<ExprRef> kids,
-           std::string name)
+Expr::Expr(ExprKind kind, uint32_t width, uint64_t aux, std::vector<ExprRef> kids)
     : kind_(kind), width_(width), aux_(aux), kids_(std::move(kids)),
-      name_(std::move(name)) {
+      hash_(NodeHash(kind, width, aux, kids_)) {
   assert(width_ >= 1 && width_ <= 64);
-  size_t h = HashCombine(static_cast<size_t>(kind_), width_);
-  h = HashCombine(h, static_cast<size_t>(aux_));
+  assert(kind_ != ExprKind::kVar && "kVar nodes come from MakeVar");
+  // Summary: the sorted union of the kids' ids, by insertion into the
+  // inline array; one id too many (or an overflowed kid) overflows it.
   for (const ExprRef& k : kids_) {
-    h = HashCombine(h, k->hash());
+    if (k->vars_overflow()) {
+      num_vars_ = kVarsOverflow;
+      return;
+    }
+    for (uint64_t id : k->var_ids()) {
+      uint64_t* end = vars_ + num_vars_;
+      uint64_t* pos = std::lower_bound(vars_, end, id);
+      if (pos != end && *pos == id) {
+        continue;
+      }
+      if (num_vars_ == kInlineVars) {
+        num_vars_ = kVarsOverflow;
+        return;
+      }
+      std::copy_backward(pos, end, end + 1);
+      *pos = id;
+      ++num_vars_;
+    }
   }
-  hash_ = h;
+}
+
+Expr::Expr(VarTag, uint32_t width, uint64_t id)
+    : kind_(ExprKind::kVar), num_vars_(1), width_(width), aux_(id),
+      hash_(NodeHash(ExprKind::kVar, width, id, {})) {
+  assert(width_ >= 1 && width_ <= 64);
+  vars_[0] = id;
+}
+
+const std::string& Expr::name() const {
+  static const std::string kNoName;
+  return kind_ == ExprKind::kVar ? static_cast<const VarExpr*>(this)->name : kNoName;
 }
 
 bool Expr::Equal(const ExprRef& a, const ExprRef& b) {
@@ -262,8 +309,7 @@ ExprRef MakeConst(uint32_t width, uint64_t value) {
         for (uint64_t v = 0; v < kCachedValues; ++v) {
           if (v <= WidthMask(kCachedWidths[r])) {
             (*table)[r][v] = std::make_shared<Expr>(
-                ExprKind::kConst, kCachedWidths[r], v, std::vector<ExprRef>{},
-                std::string{});
+                ExprKind::kConst, kCachedWidths[r], v, std::vector<ExprRef>{});
           }
         }
       }
@@ -282,7 +328,9 @@ ExprRef MakeFalse() { return MakeConst(1, 0); }
 ExprRef MakeBool(bool v) { return MakeConst(1, v ? 1 : 0); }
 
 ExprRef MakeVar(uint64_t id, uint32_t width, std::string name) {
-  return MakeNode(ExprKind::kVar, width, id, {}, std::move(name));
+  CountEvent(&EventCounters::expr_allocs);
+  return std::allocate_shared<VarExpr>(core::ArenaAllocator<VarExpr>(), width, id,
+                                       std::move(name));
 }
 
 ExprRef MakeAdd(ExprRef a, ExprRef b) { return MakeBinary(ExprKind::kAdd, a, b); }
@@ -515,27 +563,122 @@ uint64_t EvalExpr(const ExprRef& e, const std::map<uint64_t, uint64_t>& assignme
 
 namespace {
 
-void CollectVarsWalk(const ExprRef& e, std::set<const Expr*>* seen,
-                     std::map<uint64_t, ExprRef>* vars) {
-  if (!seen->insert(e.get()).second) {
-    return;  // Shared subtree: already walked once.
+// The overflowed nodes one walk has entered. Expressions are DAGs, and a
+// path-count traversal is exponential on heavily shared ones, so a walk
+// enters each overflowed node once. Nodes whose summary fits need no entry
+// here: AppendVarIds reads their ids without entering them, and
+// CollectVars skips them once their ids are collected. An open-addressing
+// pointer table in a flat buffer that each thread keeps across walks. A
+// walk starts with Clear(), which empties just the slots the previous walk
+// filled (also one an exception ended; the entries are only compared,
+// never dereferenced), so a walk allocates nothing once the buffer has
+// grown to the largest DAG the thread has seen.
+class EnteredNodes {
+ public:
+  // False when `n` was already entered.
+  bool Insert(const Expr* n) {
+    if ((filled_.size() + 1) * 2 > slots_.size()) {
+      Grow();
+    }
+    size_t i = Probe(n);
+    if (slots_[i] == n) {
+      return false;
+    }
+    slots_[i] = n;
+    filled_.push_back(i);
+    return true;
   }
+
+  void Clear() {
+    for (size_t i : filled_) {
+      slots_[i] = nullptr;
+    }
+    filled_.clear();
+  }
+
+ private:
+  // The slot holding `n`, or the empty slot where it belongs.
+  size_t Probe(const Expr* n) const {
+    const size_t mask = slots_.size() - 1;
+    size_t i = static_cast<size_t>(
+                   (reinterpret_cast<uintptr_t>(n) >> 4) * 0x9e3779b97f4a7c15ull) &
+               mask;
+    while (slots_[i] != nullptr && slots_[i] != n) {
+      i = (i + 1) & mask;
+    }
+    return i;
+  }
+
+  void Grow() {
+    std::vector<const Expr*> old_slots = std::move(slots_);
+    std::vector<size_t> old_filled = std::move(filled_);
+    slots_.assign(std::max<size_t>(old_slots.size() * 2, 64), nullptr);
+    filled_.clear();
+    for (size_t i : old_filled) {
+      size_t j = Probe(old_slots[i]);
+      slots_[j] = old_slots[i];
+      filled_.push_back(j);
+    }
+  }
+
+  std::vector<const Expr*> slots_;
+  std::vector<size_t> filled_;
+};
+
+// Appends the ids under overflowed node `e`, unsorted and with repeats.
+void AppendOverflowedIds(const Expr& e, EnteredNodes* entered,
+                         std::vector<uint64_t>* ids) {
+  for (const ExprRef& k : e.kids()) {
+    if (!k->vars_overflow()) {
+      ids->insert(ids->end(), k->var_ids().begin(), k->var_ids().end());
+    } else if (entered->Insert(k.get())) {
+      AppendOverflowedIds(*k, entered, ids);
+    }
+  }
+}
+
+// Preorder, kids left to right, as a plain DFS would go: the first node
+// met for each id is the one kept. A subtree whose ids are all in `vars`
+// already adds nothing, so it is skipped.
+void CollectVarsWalk(const ExprRef& e, EnteredNodes* entered,
+                     std::map<uint64_t, ExprRef>* vars) {
   if (e->kind() == ExprKind::kVar) {
     vars->emplace(e->aux(), e);
     return;
   }
+  if (e->vars_overflow()) {
+    if (!entered->Insert(e.get())) {
+      return;
+    }
+  } else if (std::all_of(e->var_ids().begin(), e->var_ids().end(),
+                         [vars](uint64_t id) { return vars->count(id) > 0; })) {
+    return;
+  }
   for (const ExprRef& k : e->kids()) {
-    CollectVarsWalk(k, seen, vars);
+    CollectVarsWalk(k, entered, vars);
   }
 }
 
 }  // namespace
 
+void AppendVarIds(const ExprRef& e, std::vector<uint64_t>* ids) {
+  if (!e->vars_overflow()) {
+    ids->insert(ids->end(), e->var_ids().begin(), e->var_ids().end());
+    return;
+  }
+  thread_local EnteredNodes entered;
+  entered.Clear();
+  const size_t start = ids->size();
+  AppendOverflowedIds(*e, &entered, ids);
+  std::sort(ids->begin() + static_cast<std::ptrdiff_t>(start), ids->end());
+  ids->erase(std::unique(ids->begin() + static_cast<std::ptrdiff_t>(start), ids->end()),
+             ids->end());
+}
+
 void CollectVars(const ExprRef& e, std::map<uint64_t, ExprRef>* vars) {
-  // Walk each node once by identity: expressions are DAGs, and a path-count
-  // traversal is exponential on heavily shared ones.
-  std::set<const Expr*> seen;
-  CollectVarsWalk(e, &seen, vars);
+  thread_local EnteredNodes entered;
+  entered.Clear();
+  CollectVarsWalk(e, &entered, vars);
 }
 
 size_t ExprSize(const ExprRef& e) {

@@ -7,12 +7,22 @@
 // reloads: MakeConcat rejoins adjacent extracts of one value, so a value
 // stored byte by byte and loaded back is the original node again. Boolean
 // expressions are width-1 bitvectors.
+//
+// Every node also records, when it is built, the sorted ids of the distinct
+// variables under it (its variable summary): {aux} for a kVar, nothing for
+// a kConst, and the union of the kids' summaries otherwise. Up to
+// Expr::kInlineVars ids are held in the node; past that the node is marked
+// overflowed and holds none, and a consumer walks the DAG instead
+// (AppendVarIds does both). A kid that overflowed makes its parent overflow
+// too, so the marker is set exactly when the ids do not fit. Nodes are
+// immutable, so summaries are safe to read from any thread.
 #ifndef ESD_SRC_SOLVER_EXPR_H_
 #define ESD_SRC_SOLVER_EXPR_H_
 
 #include <cstdint>
 #include <map>
 #include <memory>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -52,15 +62,29 @@ using ExprRef = std::shared_ptr<const Expr>;
 
 class Expr {
  public:
-  Expr(ExprKind kind, uint32_t width, uint64_t aux, std::vector<ExprRef> kids,
-       std::string name = {});
+  // Variable ids a node holds inline (see the summary above). Four keeps
+  // sizeof(Expr) at 80 bytes: the kVar name lives only in kVar nodes.
+  static constexpr size_t kInlineVars = 4;
+
+  // Builds a node of any kind but kVar, which only MakeVar creates.
+  Expr(ExprKind kind, uint32_t width, uint64_t aux, std::vector<ExprRef> kids);
 
   ExprKind kind() const { return kind_; }
   uint32_t width() const { return width_; }
   uint64_t aux() const { return aux_; }
   const std::vector<ExprRef>& kids() const { return kids_; }
-  const std::string& name() const { return name_; }
+  // The symbolic-input name of a kVar; empty for every other kind.
+  const std::string& name() const;
   size_t hash() const { return hash_; }
+
+  // True when more than kInlineVars distinct variables lie under this node,
+  // so var_ids() is empty and the ids must be found by a walk.
+  bool vars_overflow() const { return num_vars_ == kVarsOverflow; }
+  // The sorted ids of the distinct variables under this node (empty for a
+  // variable-free node and for an overflowed one).
+  std::span<const uint64_t> var_ids() const {
+    return {vars_, vars_overflow() ? size_t{0} : size_t{num_vars_}};
+  }
 
   bool IsConst() const { return kind_ == ExprKind::kConst; }
   bool IsConstValue(uint64_t v) const { return IsConst() && aux_ == v; }
@@ -70,13 +94,21 @@ class Expr {
   // Structural equality (uses the cached hash as a fast path).
   static bool Equal(const ExprRef& a, const ExprRef& b);
 
+ protected:
+  struct VarTag {};
+  // A kVar node over variable `id` (its summary is {id}).
+  Expr(VarTag, uint32_t width, uint64_t id);
+
  private:
+  static constexpr uint8_t kVarsOverflow = 0xff;
+
   ExprKind kind_;
+  uint8_t num_vars_ = 0;  // Ids in vars_, or kVarsOverflow.
   uint32_t width_;
   uint64_t aux_;
   std::vector<ExprRef> kids_;
-  std::string name_;  // Only for kVar.
   size_t hash_;
+  uint64_t vars_[kInlineVars] = {};
 };
 
 // Mask of `width` one-bits (width in [1, 64]).
@@ -134,7 +166,15 @@ ExprRef MakeIte(ExprRef cond, ExprRef then_e, ExprRef else_e);
 // encoding).
 uint64_t EvalExpr(const ExprRef& e, const std::map<uint64_t, uint64_t>& assignment);
 
-// Collects the distinct variables referenced by `e` into `vars` (id -> expr).
+// Appends the sorted ids of the distinct variables under `e` to `ids`: the
+// summary when it fits, else a walk of the overflowed nodes (whose
+// non-overflowed kids still answer from their summaries).
+void AppendVarIds(const ExprRef& e, std::vector<uint64_t>* ids);
+
+// Collects the distinct variables referenced by `e` into `vars` (id -> expr)
+// for the consumers that need the variable nodes themselves (widths, names,
+// bit-blaster lookups). Skips constants and any subtree whose summary names
+// only variables already in `vars`.
 void CollectVars(const ExprRef& e, std::map<uint64_t, ExprRef>* vars);
 
 // Number of nodes in the DAG rooted at `e` (distinct by pointer).

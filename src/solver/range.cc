@@ -1,5 +1,6 @@
 #include "src/solver/range.h"
 
+#include <algorithm>
 #include <optional>
 #include <unordered_map>
 
@@ -320,10 +321,12 @@ RangeResult TryRangeDischarge(const std::vector<ExprRef>& constraints) {
   // steered onto a variable by SteerOnto, guesses allowed (var*var parks
   // one factor at 1) — the shape of the symbolic guard chains the synthesis
   // branch feasibility checks keep re-asking.
-  std::map<uint64_t, ExprRef> vars;
+  std::vector<uint64_t> ids;
   for (const ExprRef& c : constraints) {
-    CollectVars(c, &vars);
+    AppendVarIds(c, &ids);
   }
+  std::sort(ids.begin(), ids.end());
+  ids.erase(std::unique(ids.begin(), ids.end()), ids.end());
   auto Satisfies = [&constraints](const std::map<uint64_t, uint64_t>& asg) {
     for (const ExprRef& c : constraints) {
       if (EvalExpr(c, asg) == 0) {
@@ -334,7 +337,7 @@ RangeResult TryRangeDischarge(const std::vector<ExprRef>& constraints) {
   };
   std::map<uint64_t, uint64_t> lo_probe;
   std::map<uint64_t, uint64_t> hi_probe;
-  for (const auto& [id, var] : vars) {
+  for (uint64_t id : ids) {
     auto it = env.find(id);
     lo_probe[id] = it == env.end() ? 0 : it->second.lo;
     hi_probe[id] = it == env.end() ? 0 : it->second.hi;

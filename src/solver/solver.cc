@@ -1,6 +1,7 @@
 #include "src/solver/solver.h"
 
-#include <set>
+#include <algorithm>
+#include <cstddef>
 
 #include "src/core/event_counters.h"
 #include "src/solver/bitblast.h"
@@ -320,22 +321,20 @@ bool ConstraintSolver::SolveComponent(const std::vector<ExprRef>& constraints,
 
 std::vector<ExprRef> ConstraintSolver::IndependentSlice(
     const std::vector<ExprRef>& constraints, const ExprRef& cond) {
-  // Var sets per constraint, then fixed-point closure starting from cond's
-  // variables.
-  std::map<uint64_t, ExprRef> seed;
-  CollectVars(cond, &seed);
-  std::set<uint64_t> reached;
-  for (const auto& [id, unused] : seed) {
-    reached.insert(id);
+  // Each constraint's sorted variable ids, read from its summary, in one
+  // flat buffer: constraint i owns ids[begin[i], begin[i + 1]).
+  std::vector<uint64_t> ids;
+  std::vector<size_t> begin;
+  begin.reserve(constraints.size() + 1);
+  for (const ExprRef& c : constraints) {
+    begin.push_back(ids.size());
+    AppendVarIds(c, &ids);
   }
-  std::vector<std::set<uint64_t>> vars_of(constraints.size());
-  for (size_t i = 0; i < constraints.size(); ++i) {
-    std::map<uint64_t, ExprRef> vs;
-    CollectVars(constraints[i], &vs);
-    for (const auto& [id, unused] : vs) {
-      vars_of[i].insert(id);
-    }
-  }
+  begin.push_back(ids.size());
+  // Fixed-point closure starting from cond's variables; `reached` stays
+  // sorted and distinct.
+  std::vector<uint64_t> reached;
+  AppendVarIds(cond, &reached);
   std::vector<bool> in_slice(constraints.size(), false);
   bool changed = true;
   while (changed) {
@@ -344,18 +343,20 @@ std::vector<ExprRef> ConstraintSolver::IndependentSlice(
       if (in_slice[i]) {
         continue;
       }
-      bool overlaps = false;
-      for (uint64_t v : vars_of[i]) {
-        if (reached.count(v)) {
-          overlaps = true;
-          break;
-        }
+      const auto first = ids.begin() + static_cast<std::ptrdiff_t>(begin[i]);
+      const auto last = ids.begin() + static_cast<std::ptrdiff_t>(begin[i + 1]);
+      bool overlaps = std::any_of(first, last, [&reached](uint64_t v) {
+        return std::binary_search(reached.begin(), reached.end(), v);
+      });
+      if (!overlaps) {
+        continue;
       }
-      if (overlaps) {
-        in_slice[i] = true;
-        changed = true;
-        for (uint64_t v : vars_of[i]) {
-          reached.insert(v);
+      in_slice[i] = true;
+      changed = true;
+      for (auto it = first; it != last; ++it) {
+        auto pos = std::lower_bound(reached.begin(), reached.end(), *it);
+        if (pos == reached.end() || *pos != *it) {
+          reached.insert(pos, *it);
         }
       }
     }
@@ -383,27 +384,35 @@ std::vector<std::vector<ExprRef>> ConstraintSolver::PartitionIndependent(
     }
     return x;
   };
-  std::map<uint64_t, size_t> var_owner;  // var id -> first constraint index.
+  // (var id, first constraint over it), sorted by id. Each constraint's ids
+  // are unioned in ascending order.
+  std::vector<std::pair<uint64_t, size_t>> var_owner;
+  std::vector<uint64_t> ids;
   for (size_t i = 0; i < constraints.size(); ++i) {
-    std::map<uint64_t, ExprRef> vars;
-    CollectVars(constraints[i], &vars);
-    for (const auto& [id, unused] : vars) {
-      auto [it, inserted] = var_owner.try_emplace(id, i);
-      if (!inserted) {
+    ids.clear();
+    AppendVarIds(constraints[i], &ids);
+    for (uint64_t id : ids) {
+      auto it = std::lower_bound(
+          var_owner.begin(), var_owner.end(), id,
+          [](const std::pair<uint64_t, size_t>& o, uint64_t v) { return o.first < v; });
+      if (it == var_owner.end() || it->first != id) {
+        var_owner.insert(it, {id, i});
+      } else {
         parent[find(i)] = find(it->second);
       }
     }
   }
   // Emit components ordered by first constraint occurrence (deterministic).
-  std::map<size_t, size_t> root_to_index;
+  constexpr size_t kNone = ~size_t{0};
+  std::vector<size_t> component_of_root(constraints.size(), kNone);
   std::vector<std::vector<ExprRef>> components;
   for (size_t i = 0; i < constraints.size(); ++i) {
-    size_t root = find(i);
-    auto [it, inserted] = root_to_index.try_emplace(root, components.size());
-    if (inserted) {
+    size_t& index = component_of_root[find(i)];
+    if (index == kNone) {
+      index = components.size();
       components.emplace_back();
     }
-    components[it->second].push_back(constraints[i]);
+    components[index].push_back(constraints[i]);
   }
   return components;
 }

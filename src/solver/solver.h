@@ -14,7 +14,11 @@
 //                    components over shared symbolic variables (KLEE-style
 //                    independence); each component is solved and cached on
 //                    its own, so unrelated path constraints no longer
-//                    perturb cache keys.
+//                    perturb cache keys. Slicing reads each constraint's
+//                    variables from the summary its root node carries
+//                    (expr.h) and works in flat vectors; only a constraint
+//                    over more variables than a node holds inline is
+//                    walked.
 //   2. cache       — a counterexample cache (the last model, re-checked by
 //                    cheap evaluation against the whole query before
 //                    slicing), a bounded per-solver query cache,

@@ -11,6 +11,7 @@
 // flat array, empty slot = 0, the fingerprint 0 itself tracked by a side
 // flag), so an InsertIfAbsent is a cache-friendly probe with no per-element
 // node allocation — the only allocation is the amortized table doubling.
+// A shard starts at 64 slots on its first insert (see kInitialSlots).
 //
 // The table is sharded by fingerprint so a parallel portfolio can share one
 // instance: each shard has its own mutex, and InsertIfAbsent touches exactly
@@ -147,7 +148,10 @@ class FingerprintTable {
       slots = std::move(bigger);
     }
 
-    static constexpr size_t kInitialSlots = 1024;
+    // 64 slots (512 bytes), under glibc's 1 KiB large-request threshold:
+    // a typical jobs=1 search probes the table a few hundred times over 16
+    // shards, so most shards never grow. Busy shards double from here.
+    static constexpr size_t kInitialSlots = 64;
   };
   std::vector<Shard> shards_;
 };

@@ -190,15 +190,21 @@ struct SchedEvent {
 // (partially filled) last chunk. Every chunk except the last is full, so
 // indexing stays O(1). The interface is the subset of std::vector the
 // trace's consumers use (append, size, operator[], range-for).
+//
+// A chunk holds 16 events (640 bytes), under glibc's 1 KiB large-request
+// threshold, at which malloc first consolidates its fast bins: a much
+// slower path on a fork-heavy search. Every chunk, a fork's tail clone
+// included, is allocated once at full capacity and never grows.
 class SchedTrace {
  public:
   void push_back(const SchedEvent& ev) {
     if (chunks_.empty() || chunks_.back()->size() == kChunk) {
-      chunks_.push_back(std::make_shared<std::vector<SchedEvent>>());
-      chunks_.back()->reserve(kChunk);
+      chunks_.push_back(NewChunk());
     } else if (chunks_.back().use_count() > 1) {
       // Shared with a fork sibling: clone the tail chunk before appending.
-      chunks_.back() = std::make_shared<std::vector<SchedEvent>>(*chunks_.back());
+      std::shared_ptr<std::vector<SchedEvent>> tail = NewChunk();
+      tail->assign(chunks_.back()->begin(), chunks_.back()->end());
+      chunks_.back() = std::move(tail);
     }
     chunks_.back()->push_back(ev);
     ++size_;
@@ -232,8 +238,14 @@ class SchedTrace {
   const_iterator end() const { return {this, size_}; }
 
  private:
-  static constexpr size_t kChunkLog2 = 6;
+  static constexpr size_t kChunkLog2 = 4;
   static constexpr size_t kChunk = size_t{1} << kChunkLog2;
+
+  static std::shared_ptr<std::vector<SchedEvent>> NewChunk() {
+    auto chunk = std::make_shared<std::vector<SchedEvent>>();
+    chunk->reserve(kChunk);
+    return chunk;
+  }
 
   std::vector<std::shared_ptr<std::vector<SchedEvent>>> chunks_;
   size_t size_ = 0;

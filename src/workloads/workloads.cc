@@ -75,6 +75,24 @@ std::shared_ptr<ir::Module> ParseWorkload(const std::string& body) {
   return module;
 }
 
+std::shared_ptr<ir::Module> ParseProgram(std::string_view text,
+                                         std::string* error) {
+  auto module = std::make_shared<ir::Module>();
+  ir::ParseResult r = text.find("extern @getchar") == std::string_view::npos
+                          ? ir::ParseModule(ExternsPreamble(), text, module.get())
+                          : ir::ParseModule(text, module.get());
+  if (!r.ok) {
+    *error = r.error;
+    return nullptr;
+  }
+  auto errors = ir::Verify(*module);
+  if (!errors.empty()) {
+    *error = errors[0];
+    return nullptr;
+  }
+  return module;
+}
+
 std::vector<std::string> Table1Names() {
   return {"sqlite", "hawknl", "ghttpd", "paste", "mknod", "mkdir", "mkfifo", "tac"};
 }

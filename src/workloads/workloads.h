@@ -35,6 +35,7 @@
 
 #include <memory>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "src/ir/module.h"
@@ -90,6 +91,14 @@ report::CoreDump AssertSiteDump(const ir::Module& module);
 // Parses preamble + body, verifying the result (aborts on errors — workload
 // sources are compiled into the binary and must be valid).
 std::shared_ptr<ir::Module> ParseWorkload(const std::string& body);
+
+// Parses and verifies a program text as a user hands it to the tools or the
+// service. Text that does not declare the standard externs itself (no
+// `extern @getchar`) is parsed after ExternsPreamble(), and a parse error
+// still names its line in `text`. Returns the module, or nullptr with the
+// first parse or verifier error in `*error`.
+std::shared_ptr<ir::Module> ParseProgram(std::string_view text,
+                                         std::string* error);
 
 }  // namespace esd::workloads
 

@@ -125,6 +125,17 @@ TEST_F(CliNegativeTest, MalformedInputIsOneLineError) {
   ExpectOneLineFailure(Tool("esdsynth") + " " + program_ + " " + bad_core_);
   ExpectOneLineFailure(Tool("esdrun") + " " + bad_prog_);
   ExpectOneLineFailure(Tool("esdcheck") + " " + bad_prog_);
+  // A program without its own externs is parsed after the standard
+  // preamble; its errors still count lines from the top of the file.
+  const std::string undefined_reg = dir_ + "/undefined_reg.esd";
+  WriteTo(undefined_reg,
+          "func @main() : i32 {\nentry:\n  %v = add %nope, i32 1\n"
+          "  ret i32 0\n}\n");
+  RunResult r = ExpectOneLineFailure(Tool("esdsynth") + " " + undefined_reg +
+                                     " " + bad_core_);
+  EXPECT_NE(r.stderr_text.find("line 3: use of undefined register %nope"),
+            std::string::npos)
+      << r.stderr_text;
 }
 
 TEST_F(CliNegativeTest, MalformedSyncSurfaceRecordsAreOneLineErrors) {

@@ -4,9 +4,11 @@
 // coordinate-stability check.
 #include <gtest/gtest.h>
 
+#include <optional>
 #include <string>
 #include <vector>
 
+#include "bench/passes_showcase.h"
 #include "src/analysis/cfg.h"
 #include "src/analysis/range_analysis.h"
 #include "src/core/event_counters.h"
@@ -69,9 +71,9 @@ dead2:
 }
 )");
   uint32_t f = *m.FindFunction("f");
-  PassStats stats;
-  uint64_t n = BranchElidePass(&m, ProtectedSites{}, &stats);
-  EXPECT_EQ(n, 1u);
+  Rewrites elisions = FindBranchElisions(m, ProtectedSites{});
+  EXPECT_EQ(elisions.size(), 1u);
+  ApplyRewrites(elisions, &m);
   const Instruction& term = m.Func(f).blocks[0].insts[1];
   EXPECT_EQ(term.op, Opcode::kBr);
   EXPECT_EQ(term.succ_true, 1u);  // 'taken'.
@@ -99,9 +101,7 @@ other:
   uint32_t f = *m.FindFunction("f");
   ProtectedSites prot;
   prot.sites.insert(InstRef{f, 0, 1});
-  PassStats stats;
-  EXPECT_EQ(BranchElidePass(&m, prot, &stats), 0u);
-  EXPECT_EQ(stats.elided_branches, 0u);
+  EXPECT_TRUE(FindBranchElisions(m, prot).empty());
   const Instruction& term = m.Func(f).blocks[0].insts[1];
   EXPECT_EQ(term.op, Opcode::kCondBr);
   EXPECT_EQ(term.operands.size(), 1u);
@@ -120,10 +120,9 @@ entry:
 )");
   uint32_t f = *m.FindFunction("f");
   ProtectedSites prot;
-  PassStats stats;
-  uint64_t n = DcePass(&m, prot, &stats);
-  EXPECT_EQ(stats.neutralized_insts, 1u);
-  EXPECT_EQ(n, 1u);
+  Rewrites rewrites = FindDeadArithmetic(m, prot);
+  EXPECT_EQ(rewrites.size(), 1u);
+  ApplyRewrites(rewrites, &m);
   const Instruction& dead = m.Func(f).blocks[0].insts[1];
   // Slot still executes, but no longer references %v.
   ASSERT_EQ(dead.operands[0].kind, Value::Kind::kConst);
@@ -133,7 +132,7 @@ entry:
   EXPECT_TRUE(Verify(m).empty());
   // Idempotent: a second run finds nothing new (convergence for the
   // pass-manager fixpoint).
-  EXPECT_EQ(DcePass(&m, prot, &stats), 0u);
+  EXPECT_TRUE(FindDeadArithmetic(m, prot).empty());
 }
 
 TEST(PassManagerTest, PipelineConvergesAndPreservesCoordinates) {
@@ -237,6 +236,61 @@ entry:
   ASSERT_EQ(add.operands.size(), 2u);
   EXPECT_EQ(add.operands[0].imm, 1u);
   EXPECT_EQ(add.operands[1].imm, 1u);
+}
+
+TEST(PassManagerTest, NothingToRewriteSearchesTheModuleItself) {
+  // listing1 has no pinned branch and no dead arithmetic: the pipeline
+  // runs both passes, rewrites nothing, and hands back the module it was
+  // given without copying it.
+  workloads::Workload w = workloads::MakeWorkload("listing1");
+  const std::string before = PrintModule(*w.module);
+  EventCounters counters;
+  PassStats stats;
+  std::optional<Module> copy;
+  const Module* search = nullptr;
+  {
+    ScopedEventCounters scope(&counters);
+    search = PassManager().Run(*w.module, ProtectedSites{}, &stats, &copy);
+  }
+  EXPECT_EQ(search, w.module.get());
+  EXPECT_FALSE(copy.has_value());
+  EXPECT_EQ(stats.TotalRewrites(), 0u);
+  EXPECT_EQ(counters.ir_passes_run, 2u);  // One elision run, one DCE run.
+  EXPECT_EQ(PrintModule(*w.module), before);
+}
+
+TEST(PassManagerTest, RewritingPipelineOptimizesACopyLikeTheInPlaceRun) {
+  // The bench_passes showcase has a rewrite for both passes: the pipeline
+  // returns an optimized copy, leaves the parsed module untouched, and
+  // counts and rewrites exactly what the in-place entry point does.
+  Module original = Parse(bench::kPassesShowcase);
+  const std::string before = PrintModule(original);
+  EventCounters copy_counters;
+  PassStats copy_stats;
+  std::optional<Module> copy;
+  const Module* search = nullptr;
+  {
+    ScopedEventCounters scope(&copy_counters);
+    search = PassManager().Run(original, ProtectedSites{}, &copy_stats, &copy);
+  }
+  ASSERT_TRUE(copy.has_value());
+  EXPECT_EQ(search, &*copy);
+  EXPECT_EQ(PrintModule(original), before);
+  EXPECT_EQ(copy_stats.elided_branches, 1u);
+  EXPECT_EQ(copy_stats.neutralized_insts, 1u);
+
+  Module in_place = Parse(bench::kPassesShowcase);
+  EventCounters in_place_counters;
+  PassStats in_place_stats;
+  {
+    ScopedEventCounters scope(&in_place_counters);
+    ASSERT_TRUE(PassManager().Run(&in_place, ProtectedSites{}, &in_place_stats));
+  }
+  EXPECT_EQ(copy_stats.elided_branches, in_place_stats.elided_branches);
+  EXPECT_EQ(copy_stats.neutralized_insts, in_place_stats.neutralized_insts);
+  EXPECT_EQ(copy_counters.ir_passes_run, in_place_counters.ir_passes_run);
+  EXPECT_EQ(PrintModule(*search), PrintModule(in_place));
+  EXPECT_TRUE(Verify(*search).empty());
 }
 
 }  // namespace

@@ -7,7 +7,10 @@
 
 #include <functional>
 #include <map>
+#include <random>
+#include <set>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "src/core/goal.h"
@@ -396,6 +399,83 @@ TEST(FingerprintTable, InsertIfAbsentIsIdempotent) {
   EXPECT_FALSE(table.InsertIfAbsent(42));
   EXPECT_TRUE(table.InsertIfAbsent(43));
   EXPECT_EQ(table.Size(), 2u);
+}
+
+// Shards start small and double: filling a table from empty must keep
+// every value exactly once through every growth, and Snapshot() must come
+// out sorted and duplicate-free whatever the shard layout.
+TEST(FingerprintTable, GrowsFromEmptyKeepingEveryValueOnce) {
+  vm::FingerprintTable table;
+  std::mt19937_64 rng(2024);
+  std::set<uint64_t> reference;
+  for (int i = 0; i < 100000; ++i) {
+    // Every fifth value repeats an earlier one; 0 takes the side flag.
+    uint64_t fp = (i % 5 == 4) ? *reference.begin() : rng();
+    if (i == 1000) {
+      fp = 0;
+    }
+    bool absent = reference.insert(fp).second;
+    ASSERT_EQ(table.InsertIfAbsent(fp), absent) << "insert " << i;
+  }
+  EXPECT_EQ(table.Size(), reference.size());
+  for (uint64_t fp : reference) {
+    ASSERT_FALSE(table.InsertIfAbsent(fp)) << fp;
+  }
+  std::vector<uint64_t> snapshot = table.Snapshot();
+  EXPECT_EQ(snapshot, std::vector<uint64_t>(reference.begin(), reference.end()));
+}
+
+// ---- Schedule trace ---------------------------------------------------------
+
+// The trace shares full chunks between fork siblings and clones the tail
+// chunk on the first append after a fork. Forking at every 7th of 100
+// appends crosses chunk boundaries at many offsets; the original and each
+// fork, both appending after the fork, must each read back exactly its own
+// flat event list.
+TEST(SchedTrace, ForkedLineagesMatchFlatReference) {
+  auto event = [](uint64_t step) {
+    vm::SchedEvent ev{};
+    ev.kind = vm::SchedEvent::Kind::kSwitch;
+    ev.tid = static_cast<uint32_t>(step % 3);
+    ev.addr = step * 8;
+    ev.step = step;
+    return ev;
+  };
+  auto same = [](const vm::SchedTrace& trace,
+                 const std::vector<vm::SchedEvent>& flat) {
+    if (trace.size() != flat.size()) {
+      return false;
+    }
+    size_t i = 0;
+    for (const vm::SchedEvent& ev : trace) {
+      if (ev.step != flat[i].step || ev.tid != flat[i].tid ||
+          ev.addr != flat[i].addr || trace[i].step != flat[i].step) {
+        return false;
+      }
+      ++i;
+    }
+    return i == flat.size();
+  };
+  vm::SchedTrace trace;
+  std::vector<vm::SchedEvent> flat;
+  std::vector<std::pair<vm::SchedTrace, std::vector<vm::SchedEvent>>> forks;
+  for (uint64_t step = 0; step < 100; ++step) {
+    trace.push_back(event(step));
+    flat.push_back(event(step));
+    if (step % 7 == 6) {
+      forks.emplace_back(trace, flat);
+    }
+  }
+  for (size_t f = 0; f < forks.size(); ++f) {
+    for (uint64_t j = 0; j < 20; ++j) {
+      forks[f].first.push_back(event(1000 * (f + 1) + j));
+      forks[f].second.push_back(event(1000 * (f + 1) + j));
+    }
+  }
+  EXPECT_TRUE(same(trace, flat));
+  for (size_t f = 0; f < forks.size(); ++f) {
+    EXPECT_TRUE(same(forks[f].first, forks[f].second)) << "fork " << f;
+  }
 }
 
 // ---- End-to-end: pruning preserves synthesis, cuts the explored space -------

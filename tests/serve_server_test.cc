@@ -241,6 +241,17 @@ TEST(ServeServerTest, MalformedInputsFailSoftly) {
   JobResult r1 = server.Process(bad_module);
   EXPECT_FALSE(r1.ok);
   EXPECT_FALSE(r1.error.empty());
+  // The externs preamble parsed ahead of a module without its own does not
+  // shift the line its error names.
+  Job undefined_reg = bad_module;
+  undefined_reg.module_text =
+      "func @main() : i32 {\nentry:\n  %v = add %nope, i32 1\n"
+      "  ret i32 0\n}\n";
+  JobResult r1b = server.Process(undefined_reg);
+  EXPECT_FALSE(r1b.ok);
+  EXPECT_NE(r1b.error.find("line 3: use of undefined register %nope"),
+            std::string::npos)
+      << r1b.error;
 
   fuzz::GeneratedProgram program = Scenario();
   Job bad_report = MakeJob(2, program);

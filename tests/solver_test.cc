@@ -1,7 +1,11 @@
 // Unit tests for the expression DAG, simplifier, bit-blaster, and SAT core.
+#include <algorithm>
 #include <cstdint>
 #include <map>
 #include <random>
+#include <set>
+#include <string>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -13,6 +17,56 @@
 
 namespace esd::solver {
 namespace {
+
+// Reference walk for the variable summaries: every kVar under `e`, by a
+// plain preorder DFS over distinct nodes, with the first node met per id
+// (what CollectVars keeps). Reads no summary.
+void ReferenceVars(const ExprRef& e, std::set<const Expr*>* seen,
+                   std::map<uint64_t, ExprRef>* vars) {
+  if (!seen->insert(e.get()).second) {
+    return;
+  }
+  if (e->kind() == ExprKind::kVar) {
+    vars->emplace(e->aux(), e);
+  }
+  for (const ExprRef& k : e->kids()) {
+    ReferenceVars(k, seen, vars);
+  }
+}
+
+std::vector<uint64_t> ReferenceVarIds(const ExprRef& e) {
+  std::set<const Expr*> seen;
+  std::map<uint64_t, ExprRef> vars;
+  ReferenceVars(e, &seen, &vars);
+  std::vector<uint64_t> ids;
+  for (const auto& [id, unused] : vars) {
+    ids.push_back(id);
+  }
+  return ids;
+}
+
+// A random expression over `vars` (and constants) with shared subtrees:
+// one operand is one of the last few results, so the DAG grows, and the
+// other is any earlier node.
+ExprRef RandomDag(std::mt19937_64& rng, const std::vector<ExprRef>& vars,
+                  int nodes) {
+  const uint32_t w = vars[0]->width();
+  std::vector<ExprRef> pool = vars;
+  pool.push_back(MakeConst(w, rng()));
+  for (int n = 0; n < nodes; ++n) {
+    const ExprRef a = pool[pool.size() - 1 - rng() % std::min<size_t>(3, pool.size())];
+    const ExprRef b = pool[rng() % pool.size()];
+    switch (rng() % 6) {
+      case 0: pool.push_back(MakeAdd(a, b)); break;
+      case 1: pool.push_back(MakeMul(a, MakeConst(w, rng() | 1))); break;
+      case 2: pool.push_back(MakeXor(a, b)); break;
+      case 3: pool.push_back(MakeIte(MakeUlt(a, b), a, b)); break;
+      case 4: pool.push_back(MakeZExt(MakeExtract(a, 0, w / 2), w)); break;
+      default: pool.push_back(MakeSub(b, a)); break;
+    }
+  }
+  return pool.back();
+}
 
 TEST(ExprTest, ConstFolding) {
   ExprRef a = MakeConst(32, 7);
@@ -110,6 +164,58 @@ TEST(ExprTest, EvalMatchesFold) {
   EXPECT_EQ(EvalExpr(MakeAdd(x, y), env), (0x1234u + 0x77u) & 0xffff);
   EXPECT_EQ(EvalExpr(MakeMul(x, y), env), (0x1234ull * 0x77ull) & 0xffff);
   EXPECT_EQ(EvalExpr(MakeUlt(y, x), env), 1u);
+}
+
+TEST(ExprTest, VariableSummaryMatchesAWalk) {
+  // Every node of seeded random DAGs over up to 8 variables (ids spread
+  // out, so order matters): the summary names exactly the variables a
+  // plain walk finds, and overflows exactly when they do not fit inline.
+  // AppendVarIds and CollectVars must agree with the walk too.
+  std::mt19937_64 rng(20261018);
+  size_t overflowed = 0;
+  size_t fitting = 0;
+  for (int round = 0; round < 300; ++round) {
+    std::vector<ExprRef> vars;
+    const int num_vars = 1 + static_cast<int>(rng() % 8);
+    for (int v = 0; v < num_vars; ++v) {
+      vars.push_back(MakeVar(1000 - 37 * v, 16, "v" + std::to_string(v)));
+    }
+    ExprRef root = RandomDag(rng, vars, 30);
+    std::set<const Expr*> nodes;
+    std::map<uint64_t, ExprRef> unused;
+    ReferenceVars(root, &nodes, &unused);
+    for (const Expr* raw : nodes) {
+      ExprRef e(root, raw);  // Aliasing: borrows root's ownership.
+      std::vector<uint64_t> expected = ReferenceVarIds(e);
+      ASSERT_EQ(e->vars_overflow(), expected.size() > Expr::kInlineVars)
+          << ExprToString(e);
+      if (e->vars_overflow()) {
+        ++overflowed;
+        EXPECT_TRUE(e->var_ids().empty());
+      } else {
+        ++fitting;
+        EXPECT_EQ(std::vector<uint64_t>(e->var_ids().begin(), e->var_ids().end()),
+                  expected);
+      }
+      std::vector<uint64_t> appended = {7, 7};  // Appends after existing ids.
+      AppendVarIds(e, &appended);
+      expected.insert(expected.begin(), {7, 7});
+      EXPECT_EQ(appended, expected) << ExprToString(e);
+    }
+    // CollectVars keeps the same node per id as a plain preorder walk.
+    std::set<const Expr*> seen;
+    std::map<uint64_t, ExprRef> reference;
+    ReferenceVars(root, &seen, &reference);
+    std::map<uint64_t, ExprRef> collected;
+    CollectVars(root, &collected);
+    ASSERT_EQ(collected.size(), reference.size());
+    for (const auto& [id, var] : reference) {
+      EXPECT_EQ(collected[id].get(), var.get()) << id;
+    }
+  }
+  // Both sides of the inline limit were exercised.
+  EXPECT_GT(overflowed, 100u);
+  EXPECT_GT(fitting, 100u);
 }
 
 TEST(SatTest, TrivialSatAndUnsat) {
@@ -509,6 +615,130 @@ TEST(SatAssumptionTest, LearnedClausesPersistAcrossCalls) {
 }
 
 // ---- Independence partitioning (pipeline stage 1) --------------------------
+
+// The std::set / std::map slicing and partitioning the summaries replaced,
+// kept as the oracle: variable sets from the reference walk.
+std::vector<ExprRef> OracleSlice(const std::vector<ExprRef>& constraints,
+                                 const ExprRef& cond) {
+  std::vector<uint64_t> seed = ReferenceVarIds(cond);
+  std::set<uint64_t> reached(seed.begin(), seed.end());
+  std::vector<std::set<uint64_t>> vars_of(constraints.size());
+  for (size_t i = 0; i < constraints.size(); ++i) {
+    std::vector<uint64_t> ids = ReferenceVarIds(constraints[i]);
+    vars_of[i].insert(ids.begin(), ids.end());
+  }
+  std::vector<bool> in_slice(constraints.size(), false);
+  bool changed = true;
+  while (changed) {
+    changed = false;
+    for (size_t i = 0; i < constraints.size(); ++i) {
+      if (in_slice[i]) {
+        continue;
+      }
+      bool overlaps = false;
+      for (uint64_t v : vars_of[i]) {
+        overlaps = overlaps || reached.count(v) > 0;
+      }
+      if (overlaps) {
+        in_slice[i] = true;
+        changed = true;
+        reached.insert(vars_of[i].begin(), vars_of[i].end());
+      }
+    }
+  }
+  std::vector<ExprRef> slice;
+  for (size_t i = 0; i < constraints.size(); ++i) {
+    if (in_slice[i]) {
+      slice.push_back(constraints[i]);
+    }
+  }
+  return slice;
+}
+
+std::vector<std::vector<ExprRef>> OraclePartition(
+    const std::vector<ExprRef>& constraints) {
+  std::vector<size_t> parent(constraints.size());
+  for (size_t i = 0; i < parent.size(); ++i) {
+    parent[i] = i;
+  }
+  auto find = [&parent](size_t x) {
+    while (parent[x] != x) {
+      x = parent[x];
+    }
+    return x;
+  };
+  std::map<uint64_t, size_t> var_owner;
+  for (size_t i = 0; i < constraints.size(); ++i) {
+    for (uint64_t id : ReferenceVarIds(constraints[i])) {
+      auto [it, inserted] = var_owner.try_emplace(id, i);
+      if (!inserted) {
+        parent[find(i)] = find(it->second);
+      }
+    }
+  }
+  std::map<size_t, size_t> root_to_index;
+  std::vector<std::vector<ExprRef>> components;
+  for (size_t i = 0; i < constraints.size(); ++i) {
+    auto [it, inserted] = root_to_index.try_emplace(find(i), components.size());
+    if (inserted) {
+      components.emplace_back();
+    }
+    components[it->second].push_back(constraints[i]);
+  }
+  return components;
+}
+
+TEST(SlicingTest, SummarySlicingMatchesTheSetAndMapOracle) {
+  // 1,000 seeded constraint vectors over 12 variables; some constraints
+  // span more variables than a node holds inline, so both the summary
+  // path and the overflow walk run. Same constraints, same order, same
+  // component order as the oracle.
+  std::mt19937_64 rng(77);
+  std::vector<ExprRef> vars;
+  for (uint64_t v = 0; v < 12; ++v) {
+    vars.push_back(MakeVar(500 - 40 * v, 16, "in" + std::to_string(v)));
+  }
+  auto random_constraint = [&] {
+    std::vector<ExprRef> picked;
+    const size_t span = 1 + rng() % 7;
+    for (size_t k = 0; k < span; ++k) {
+      picked.push_back(vars[rng() % vars.size()]);
+    }
+    ExprRef sum = RandomDag(rng, picked, 3);
+    for (const ExprRef& v : picked) {
+      sum = MakeAdd(sum, MakeMul(v, MakeConst(16, rng() | 1)));
+    }
+    return MakeUlt(sum, MakeConst(16, rng()));
+  };
+  size_t overflowing = 0;
+  for (int round = 0; round < 1000; ++round) {
+    std::vector<ExprRef> constraints;
+    const size_t n = rng() % 9;
+    for (size_t i = 0; i < n; ++i) {
+      constraints.push_back(random_constraint());
+      overflowing += constraints.back()->vars_overflow() ? 1 : 0;
+    }
+    ExprRef cond = random_constraint();
+    std::vector<ExprRef> slice = ConstraintSolver::IndependentSlice(constraints, cond);
+    std::vector<ExprRef> oracle_slice = OracleSlice(constraints, cond);
+    ASSERT_EQ(slice.size(), oracle_slice.size()) << "round " << round;
+    for (size_t i = 0; i < slice.size(); ++i) {
+      EXPECT_EQ(slice[i].get(), oracle_slice[i].get()) << "round " << round;
+    }
+    auto components = ConstraintSolver::PartitionIndependent(constraints);
+    auto oracle_components = OraclePartition(constraints);
+    ASSERT_EQ(components.size(), oracle_components.size()) << "round " << round;
+    for (size_t c = 0; c < components.size(); ++c) {
+      ASSERT_EQ(components[c].size(), oracle_components[c].size())
+          << "round " << round;
+      for (size_t i = 0; i < components[c].size(); ++i) {
+        EXPECT_EQ(components[c][i].get(), oracle_components[c][i].get())
+            << "round " << round << " component " << c;
+      }
+    }
+  }
+  EXPECT_GT(overflowing, 100u);
+}
 
 TEST(PartitionTest, SplitsUnrelatedConstraintsAndKeepsChains) {
   ExprRef x = MakeVar(1, 32, "x");

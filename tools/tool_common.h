@@ -14,8 +14,6 @@
 #include <sstream>
 #include <string>
 
-#include "src/ir/parser.h"
-#include "src/ir/verifier.h"
 #include "src/workloads/workloads.h"
 
 namespace esd::tools {
@@ -88,28 +86,17 @@ inline bool WriteFile(const std::string& path, const std::string& content) {
   return out.good();
 }
 
-// Loads a .esd program. If the file does not declare the standard externs
-// itself, the standard preamble is prepended.
+// Loads a .esd program (see workloads::ParseProgram for the externs).
 inline std::shared_ptr<ir::Module> LoadProgram(const std::string& path) {
   auto text = ReadFile(path);
   if (!text.has_value()) {
     std::cerr << "error: cannot read '" << path << "'\n";
     return nullptr;
   }
-  std::string source = *text;
-  if (source.find("extern @getchar") == std::string::npos) {
-    source = std::string(workloads::ExternsPreamble()) + source;
-  }
-  auto module = std::make_shared<ir::Module>();
-  ir::ParseResult r = ir::ParseModule(source, module.get());
-  if (!r.ok) {
-    std::cerr << "error: " << path << ": " << r.error << "\n";
-    return nullptr;
-  }
-  auto errors = ir::Verify(*module);
-  if (!errors.empty()) {
-    std::cerr << "error: " << path << ": " << errors[0] << "\n";
-    return nullptr;
+  std::string error;
+  std::shared_ptr<ir::Module> module = workloads::ParseProgram(*text, &error);
+  if (module == nullptr) {
+    std::cerr << "error: " << path << ": " << error << "\n";
   }
   return module;
 }
