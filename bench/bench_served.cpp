@@ -1,20 +1,18 @@
-// Benchmarks the synthesis service's cross-run cache reuse: a generated
-// corpus is submitted to a cold daemon (empty cache directory), then the
-// daemon is "restarted" (a fresh Server over the same directory, verdict
-// reuse off so every job really searches) and the corpus is submitted
-// again. The warm pass must agree with the cold pass on every verdict and
-// fingerprint, must use the persisted solver cache (entries preloaded or
-// hit), and — outside smoke mode — must be faster.
+// Benchmarks the synthesis service across a restart: a generated corpus is
+// submitted to a cold daemon (empty cache directory), then the daemon is
+// "restarted" (a fresh Server over the same directory, verdict reuse off so
+// every job really searches) and the corpus is submitted again. The second
+// pass, called "warm", must agree with the cold pass on every verdict and
+// fingerprint, and the fingerprint corpus it read back from disk must flag
+// every reproduced job as a known duplicate. Its searches reuse nothing
+// else: the service persists no solver answers or distance tables.
 //
 // Emits BENCH_served.json with two perf-trajectory records, `served-cold`
 // and `served-warm`, whose states_per_sec field carries jobs/second (the
-// service's unit of work); the warm record's throughput improvement over
-// cold IS the figure of merit the caches exist for.
+// service's unit of work).
 //
-// Environment knobs:
+// Environment knob:
 //   ESD_SERVED_SEEDS  corpus size (default 6).
-//   ESD_BENCH_SMOKE   nonzero: run everything but skip the perf gates
-//                     (warm faster than cold); correctness gates stay on.
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
@@ -75,7 +73,6 @@ int main() {
   const char* seeds_env = std::getenv("ESD_SERVED_SEEDS");
   uint64_t seeds =
       seeds_env != nullptr ? std::strtoull(seeds_env, nullptr, 10) : 6;
-  bool smoke = std::getenv("ESD_BENCH_SMOKE") != nullptr;
   std::string git_rev = bench::GitRev();
 
   // The corpus: mixed planted-bug kinds, fixed seeds, the same jobs the
@@ -88,8 +85,8 @@ int main() {
     params.kind = kKinds[i % (sizeof(kKinds) / sizeof(kKinds[0]))];
     params.seed = 20'000 + i;
     // Heavier than the fuzz defaults: the input-mix/branch noise puts real
-    // work into the solver, so the warm pass's cache hits show up as
-    // wall-clock, not noise (measured ~1.4x cold/warm).
+    // work into the solver. Kept as it is so the recorded trajectory stays
+    // comparable with its committed baseline.
     params.noise_per_thread = 8;
     fuzz::GeneratedProgram program = fuzz::Generate(params);
     serve::Job job;
@@ -140,30 +137,23 @@ int main() {
   double calib_ops =
       calib_best > 0.0 ? static_cast<double>(1 << 16) / calib_best : 0.0;
 
-  std::printf("pass   jobs  repro  sec      jobs/s   solver-hits  dup\n");
+  std::printf("pass   jobs  repro  sec      jobs/s   dup\n");
   auto row = [&](const char* name, const PassOutcome& p) {
-    std::printf("%-6s %4llu  %5llu  %-8.3f %-8.2f %-12llu %llu\n", name,
+    std::printf("%-6s %4llu  %5llu  %-8.3f %-8.2f %llu\n", name,
                 static_cast<unsigned long long>(jobs.size()),
                 static_cast<unsigned long long>(p.reproduced), p.seconds,
                 p.seconds > 0 ? jobs.size() / p.seconds : 0.0,
-                static_cast<unsigned long long>(p.stats.solver_shared_hits),
                 static_cast<unsigned long long>(p.stats.duplicate_bugs));
   };
   row("cold", cold);
   row("warm", warm);
 
-  // Correctness gates (always on): same verdicts, same executions, and the
-  // warm pass must actually have used the persisted caches.
+  // Correctness gates: same verdicts, same executions, and the warm pass
+  // must recognize every bug from the persisted corpus.
   bool ok = true;
   if (warm.reproduced != cold.reproduced ||
       warm.fingerprints != cold.fingerprints) {
     std::fprintf(stderr, "FAIL: warm pass disagrees with cold pass\n");
-    ok = false;
-  }
-  uint64_t warm_hits = warm.stats.solver_shared_hits +
-                       warm.stats.solver_entries_preloaded;
-  if (warm_hits == 0) {
-    std::fprintf(stderr, "FAIL: warm pass hit no persisted cache\n");
     ok = false;
   }
   if (warm.stats.duplicate_bugs != warm.reproduced) {
@@ -172,12 +162,6 @@ int main() {
                  "(%llu duplicates, %llu reproduced)\n",
                  static_cast<unsigned long long>(warm.stats.duplicate_bugs),
                  static_cast<unsigned long long>(warm.reproduced));
-    ok = false;
-  }
-  // Perf gate (skipped in smoke mode: sanitized builds are not benchmarks).
-  if (!smoke && ok && warm.seconds >= cold.seconds) {
-    std::fprintf(stderr, "FAIL: warm pass (%.3fs) not faster than cold (%.3fs)\n",
-                 warm.seconds, cold.seconds);
     ok = false;
   }
 
@@ -196,8 +180,7 @@ int main() {
   if (auto path = bench::WriteBenchJson("served", records)) {
     std::printf("bench_served: wrote %s\n", path->c_str());
   }
-  std::printf("bench_served: warm/cold speedup %.2fx, %llu cross-run cache hits\n",
-              warm.seconds > 0 ? cold.seconds / warm.seconds : 0.0,
-              static_cast<unsigned long long>(warm_hits));
+  std::printf("bench_served: warm/cold speedup %.2fx\n",
+              warm.seconds > 0 ? cold.seconds / warm.seconds : 0.0);
   return ok ? 0 : 1;
 }

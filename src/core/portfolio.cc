@@ -55,16 +55,12 @@ void RunPortfolio(const ir::Module* module, const Goal& goal,
     return;
   }
 
-  // Solver pipeline stage 2 (shared): one query/counterexample cache shared
-  // by every worker's ConstraintSolver, so one worker's solve
-  // short-circuits the others' identical component queries
+  // Solver pipeline stage 2 (shared): at jobs > 1, one query/
+  // counterexample cache shared by every worker's ConstraintSolver, so one
+  // worker's solve short-circuits the others' identical component queries
   // (--solver-cache-private opts out; each solver keeps its private caches
-  // either way). A daemon-owned external cache (options.shared_solver_cache)
-  // is used at any `jobs` and replaces the run-local one, so answers also
-  // persist across jobs.
-  solver::SharedSolverCache* shared_cache =
-      options.solver_cache_shared ? options.shared_solver_cache : nullptr;
-  std::unique_ptr<solver::SharedSolverCache> run_cache;
+  // either way).
+  std::unique_ptr<solver::SharedSolverCache> shared_cache;
   vm::StatePtr prototype;
   if (parallel) {
     // Make every lazy table any worker can touch hot, so the shared
@@ -76,9 +72,8 @@ void RunPortfolio(const ir::Module* module, const Goal& goal,
     // search touches.
     distances->Prewarm(GoalTargets(search_goals));
     prototype = MakePrototype(module, *main_fn);
-    if (options.solver_cache_shared && shared_cache == nullptr) {
-      run_cache = std::make_unique<solver::SharedSolverCache>();
-      shared_cache = run_cache.get();
+    if (options.solver_cache_shared) {
+      shared_cache = std::make_unique<solver::SharedSolverCache>();
     }
   }
 
@@ -110,7 +105,8 @@ void RunPortfolio(const ir::Module* module, const Goal& goal,
     // report — no shared state, no locks (see event_counters.h).
     ScopedEventCounters counter_scope(&out.report.counters);
 
-    solver::ConstraintSolver solver(MakeSolverOptions(options, shared_cache));
+    solver::ConstraintSolver solver(
+        MakeSolverOptions(options, shared_cache.get()));
     vm::RaceDetector own_races;
     vm::RaceDetector* races = share_races ? &shared_races : &own_races;
     bool want_races = false;

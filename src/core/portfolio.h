@@ -17,8 +17,8 @@
 //
 // Only a parallel run sets up the rest, so `--jobs 1` pays for none of it
 // and keeps its counts and execution files: the DistanceCalculator prewarm
-// (one worker fills its tables lazily), the run-local shared solver cache
-// (one worker attaches only the service's external cache), one
+// (one worker fills its tables lazily), the shared solver cache, which
+// lives as long as the run (one worker keeps only its private caches), one
 // RaceDetector shared with the fingerprint table (Engine::Options::
 // dedup_races), the pinned prototype each worker's root is forked from
 // (worker 0 of one starts from the initial state itself), and the

@@ -40,7 +40,7 @@ std::unique_ptr<vm::Searcher> MakeWorkerSearcher(
     std::string* strategy);
 
 // Maps the SynthesisOptions solver toggles onto solver::SolverOptions.
-// `shared_cache` (may be null) is the cache shared across workers and runs.
+// `shared_cache` (may be null) is the cache shared by the workers of one run.
 solver::SolverOptions MakeSolverOptions(const SynthesisOptions& options,
                                         solver::SharedSolverCache* shared_cache);
 

@@ -6,10 +6,11 @@
 // manifests the reported bug, then solve the path constraints into concrete
 // inputs and emit the execution file for playback.
 //
-// Every search builds its own distance tables over the module it searches:
-// lazily at jobs == 1, prewarmed at jobs > 1 (portfolio.h). Nothing outside
-// the search reads or seeds them; the service reuses only solver answers
-// and prior executions (the hooks at the end of SynthesisOptions).
+// Every search builds its own distance tables over the module it searches
+// (lazily at jobs == 1, prewarmed at jobs > 1; portfolio.h) and its own
+// solver caches. Nothing outside the search reads or seeds them; the
+// service reuses only prior executions (the hook at the end of
+// SynthesisOptions).
 //
 // The options toggles exist for the ablation study (bench_ablation): each
 // disables one of the three §3.3 focusing techniques.
@@ -71,9 +72,9 @@ struct SynthesisOptions {
   // Stage 4: assumption-based incremental SAT (persistent session keeping
   // learned clauses and bit-blasted circuits across queries).
   bool solver_incremental = true;
-  // Stage 2: one query/counterexample cache shared by all workers (sharded
-  // mutexes) instead of per-worker caches only; cross-worker hits are
-  // counted per worker. Also gates shared_solver_cache below.
+  // Stage 2: at jobs > 1, one query/counterexample cache shared by all
+  // workers (sharded mutexes) instead of per-worker caches only;
+  // cross-worker hits are counted per worker.
   bool solver_cache_shared = true;
   // Stage 3: interval value-range discharge of guard constraints before
   // bit-blasting (src/solver/range.h).
@@ -83,12 +84,7 @@ struct SynthesisOptions {
   // and search on the optimized copy. Emitted execution files stay valid
   // against the original module (coordinate stability). --no-ir-opt.
   bool ir_opt = true;
-  // ---- Synthesis-service hooks (src/serve, the esdserved daemon) ----
-  // External shared solver cache (not owned; may be null). When set, every
-  // worker uses it at any `jobs`, in place of the run-local cache jobs > 1
-  // would build — which is what lets solver answers persist across jobs
-  // and daemon restarts. solver_cache_shared still gates it.
-  solver::SharedSolverCache* shared_solver_cache = nullptr;
+  // ---- Synthesis-service hook (src/serve, the esdserved daemon) ----
   // Incremental re-synthesis: a previously synthesized execution file for
   // this bug (possibly against a pre-patch module). The search seeds from
   // its schedule — states whose switch history matches the longest prefix

@@ -2,53 +2,27 @@
 
 namespace esd::serve {
 
-JobQueue::JobQueue(size_t shards) : shards_(shards == 0 ? 1 : shards) {}
-
-bool JobQueue::Push(Job job, uint64_t module_digest) {
+bool JobQueue::Push(Job job) {
   {
     std::lock_guard<std::mutex> lock(mu_);
     if (closed_) {
       return false;
     }
-    shards_[module_digest % shards_.size()].jobs.push_back(std::move(job));
-    ++stats_.pushed;
+    jobs_.push_back(std::move(job));
   }
   cv_.notify_one();
   return true;
 }
 
-std::optional<Job> JobQueue::Pop(size_t worker) {
+std::optional<Job> JobQueue::Pop() {
   std::unique_lock<std::mutex> lock(mu_);
-  const size_t home = worker % shards_.size();
-  for (;;) {
-    if (!shards_[home].jobs.empty()) {
-      Job job = std::move(shards_[home].jobs.front());
-      shards_[home].jobs.pop_front();
-      ++stats_.popped;
-      return job;
-    }
-    // Steal from the fullest other shard: draining the deepest backlog
-    // first keeps the queue balanced without per-job rebalancing.
-    size_t victim = shards_.size();
-    size_t victim_depth = 0;
-    for (size_t s = 0; s < shards_.size(); ++s) {
-      if (s != home && shards_[s].jobs.size() > victim_depth) {
-        victim = s;
-        victim_depth = shards_[s].jobs.size();
-      }
-    }
-    if (victim < shards_.size()) {
-      Job job = std::move(shards_[victim].jobs.front());
-      shards_[victim].jobs.pop_front();
-      ++stats_.popped;
-      ++stats_.stolen;
-      return job;
-    }
-    if (closed_) {
-      return std::nullopt;
-    }
-    cv_.wait(lock);
+  cv_.wait(lock, [this] { return !jobs_.empty() || closed_; });
+  if (jobs_.empty()) {
+    return std::nullopt;
   }
+  Job job = std::move(jobs_.front());
+  jobs_.pop_front();
+  return job;
 }
 
 void JobQueue::Close() {
@@ -57,11 +31,6 @@ void JobQueue::Close() {
     closed_ = true;
   }
   cv_.notify_all();
-}
-
-JobQueue::Stats JobQueue::stats() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return stats_;
 }
 
 }  // namespace esd::serve

@@ -1,11 +1,9 @@
-// ESD serve: sharded job queue feeding the daemon's synthesis workers.
+// ESD serve: the job queue feeding the daemon's synthesis workers.
 //
-// Jobs are routed to a home shard by module-digest affinity, so jobs on the
-// same module land on the same worker back-to-back and its warm caches
-// (solver entries, distance tables) get maximal reuse. An idle worker steals
-// from the busiest other shard rather than sleeping while work exists —
-// affinity is a preference, not a partition (the same discipline as the
-// vm::SharedFrontier the portfolio workers use).
+// One FIFO under one mutex: every worker takes the oldest job. No job
+// prefers a worker, because nothing a worker keeps between jobs makes a
+// search faster: each search builds its own distance tables and solver
+// caches, and the per-module fingerprint corpus is shared by all workers.
 #ifndef ESD_SRC_SERVE_JOB_QUEUE_H_
 #define ESD_SRC_SERVE_JOB_QUEUE_H_
 
@@ -15,7 +13,6 @@
 #include <mutex>
 #include <optional>
 #include <string>
-#include <vector>
 
 namespace esd::serve {
 
@@ -31,37 +28,21 @@ struct Job {
 
 class JobQueue {
  public:
-  explicit JobQueue(size_t shards);
+  // Enqueues at the back. Returns false after Close().
+  bool Push(Job job);
 
-  // Enqueues onto the shard owning `module_digest`. Returns false after
-  // Close().
-  bool Push(Job job, uint64_t module_digest);
+  // Blocks until a job is available or the queue is closed and drained.
+  // nullopt = shut down, no work left.
+  std::optional<Job> Pop();
 
-  // Blocks until a job is available (own shard first, then steal) or the
-  // queue is closed and drained. nullopt = shut down, no work left.
-  std::optional<Job> Pop(size_t worker);
-
-  // No more pushes; Pop returns nullopt once the shards drain.
+  // No more pushes; Pop returns nullopt once the queue drains.
   void Close();
 
-  struct Stats {
-    uint64_t pushed = 0;
-    uint64_t popped = 0;
-    uint64_t stolen = 0;  // Pops served from a non-home shard.
-  };
-  Stats stats() const;
-  size_t shards() const { return shards_.size(); }
-
  private:
-  struct Shard {
-    std::deque<Job> jobs;
-  };
-
-  mutable std::mutex mu_;
+  std::mutex mu_;
   std::condition_variable cv_;
-  std::vector<Shard> shards_;
+  std::deque<Job> jobs_;
   bool closed_ = false;
-  Stats stats_;
 };
 
 }  // namespace esd::serve

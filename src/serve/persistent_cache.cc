@@ -165,8 +165,8 @@ CacheStore::~CacheStore() {
   }
 }
 
-std::string CacheStore::PathFor(uint64_t digest, const char* kind) const {
-  return dir_ + "/" + Hex16(digest) + "." + kind + ".esdc";
+std::string CacheStore::CorpusPath(uint64_t digest) const {
+  return dir_ + "/" + Hex16(digest) + ".fps.esdc";
 }
 
 void CacheStore::Quarantine(const std::string& path, const std::string& why) {
@@ -192,26 +192,10 @@ std::optional<std::string> CacheStore::ReadOrQuarantine(const std::string& path,
   return text;
 }
 
-std::optional<SolverCacheImage> CacheStore::LoadSolverCache(
-    uint64_t module_digest) {
-  if (!ok_) return std::nullopt;
-  const std::string path = PathFor(module_digest, "solver");
-  bool present = false;
-  auto text = ReadOrQuarantine(path, &present);
-  if (!text.has_value()) return std::nullopt;
-  std::string error;
-  auto image = ParseSolverCache(*text, module_digest, &error);
-  if (!image.has_value()) {
-    Quarantine(path, error);
-    return std::nullopt;
-  }
-  return image;
-}
-
 std::optional<FingerprintImage> CacheStore::LoadFingerprintCorpus(
     uint64_t module_digest) {
   if (!ok_) return std::nullopt;
-  const std::string path = PathFor(module_digest, "fps");
+  const std::string path = CorpusPath(module_digest);
   bool present = false;
   auto text = ReadOrQuarantine(path, &present);
   if (!text.has_value()) return std::nullopt;
@@ -247,13 +231,8 @@ bool CacheStore::AtomicWrite(const std::string& path, const std::string& text) {
   return true;
 }
 
-bool CacheStore::StoreSolverCache(const SolverCacheImage& image) {
-  return AtomicWrite(PathFor(image.module_digest, "solver"),
-                     SolverCacheToText(image));
-}
-
 bool CacheStore::StoreFingerprintCorpus(const FingerprintImage& image) {
-  return AtomicWrite(PathFor(image.module_digest, "fps"),
+  return AtomicWrite(CorpusPath(image.module_digest),
                      FingerprintCorpusToText(image));
 }
 

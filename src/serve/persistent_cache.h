@@ -2,16 +2,17 @@
 //
 // One directory holds every persisted artifact (docs/CACHE_FORMAT.md):
 //
-//   <digest>.solver.esdc   solver query/counterexample cache (cache_io.h)
-//   <digest>.fps.esdc      execution-fingerprint corpus (duplicate-bug triage)
+//   <digest>.fps.esdc      execution-fingerprint corpus (duplicate-bug
+//                          triage; cache_io.h)
 //   results.index          append-only journal of solved jobs: one
 //                          checksummed record per job (report digest ->
 //                          module digest, verdict, fingerprint, and the
 //                          execution-file text that seeds incremental
 //                          re-synthesis after a patch)
 //
-// Distance tables are not persisted. `<digest>.dist.esdc` files written by
-// earlier versions are never opened and may be deleted.
+// Distance tables and solver answers are not persisted. The
+// `<digest>.dist.esdc` and `<digest>.solver.esdc` files written by earlier
+// versions are never opened and may be deleted.
 //
 // Crash safety: the `.esdc` files, and the journal when a load compacts it,
 // are written to a `.tmp` sibling and renamed into place, so a crash
@@ -64,13 +65,11 @@ class CacheStore {
   bool ok() const { return ok_; }
   const std::string& error() const { return error_; }
 
-  // ---- Cache files (each keyed by a module digest) ----
-  // Loads return nullopt when the file is absent OR failed its strict parse;
-  // a failed parse quarantines the file and appends to load_errors().
-  std::optional<SolverCacheImage> LoadSolverCache(uint64_t module_digest);
+  // ---- Fingerprint corpus files (each keyed by a module digest) ----
+  // The load returns nullopt when the file is absent OR failed its strict
+  // parse; a failed parse quarantines the file and appends to
+  // load_errors().
   std::optional<FingerprintImage> LoadFingerprintCorpus(uint64_t module_digest);
-
-  bool StoreSolverCache(const SolverCacheImage& image);
   bool StoreFingerprintCorpus(const FingerprintImage& image);
 
   // ---- Results journal ----
@@ -88,7 +87,7 @@ class CacheStore {
   const std::string& dir() const { return dir_; }
 
  private:
-  std::string PathFor(uint64_t digest, const char* kind) const;
+  std::string CorpusPath(uint64_t digest) const;
   std::optional<std::string> ReadOrQuarantine(const std::string& path,
                                               bool* present);
   void Quarantine(const std::string& path, const std::string& why);

@@ -21,34 +21,32 @@ Server::Server(ServerOptions options) : options_(std::move(options)) {
 
 Server::~Server() { FlushAll(); }
 
-Server::ModuleState& Server::GetModuleState(uint64_t module_digest) {
+vm::FingerprintTable& Server::GetCorpus(uint64_t module_digest) {
   {
-    std::lock_guard<std::mutex> lock(modules_mu_);
-    auto it = modules_.find(module_digest);
-    if (it != modules_.end()) {
+    std::lock_guard<std::mutex> lock(corpora_mu_);
+    auto it = corpora_.find(module_digest);
+    if (it != corpora_.end()) {
       return *it->second;
     }
   }
-  // First job on this module: build the state and warm it from disk. Done
-  // outside modules_mu_ so a slow disk load does not block jobs on other
-  // modules; a racing builder for the same digest loses below and is freed.
-  auto state = std::make_unique<ModuleState>(options_.solver_cache_bytes);
+  // First job on this module: load its corpus from disk. Done outside
+  // corpora_mu_ so a slow disk load does not block jobs on other modules; a
+  // racing loader for the same digest loses below, and only the inserted
+  // table's fingerprints are counted.
+  auto corpus = std::make_unique<vm::FingerprintTable>();
   if (store_ != nullptr) {
     std::lock_guard<std::mutex> lock(store_mu_);
-    if (auto image = store_->LoadSolverCache(module_digest)) {
-      state->solver_cache.Preload(image->entries);
-    }
-    if (auto corpus = store_->LoadFingerprintCorpus(module_digest)) {
-      state->corpus.Preload(corpus->fingerprints);
+    if (auto image = store_->LoadFingerprintCorpus(module_digest)) {
+      corpus->Preload(image->fingerprints);
     }
   }
-  {
+  const uint64_t preloaded = corpus->Size();
+  std::lock_guard<std::mutex> lock(corpora_mu_);
+  auto [it, inserted] = corpora_.try_emplace(module_digest, std::move(corpus));
+  if (inserted) {
     std::lock_guard<std::mutex> stats_lock(stats_mu_);
-    stats_.solver_entries_preloaded += state->solver_cache.stats().preloaded;
-    stats_.corpus_preloaded += state->corpus.Size();
+    stats_.corpus_preloaded += preloaded;
   }
-  std::lock_guard<std::mutex> lock(modules_mu_);
-  auto [it, inserted] = modules_.try_emplace(module_digest, std::move(state));
   return *it->second;
 }
 
@@ -110,10 +108,9 @@ JobResult Server::Process(const Job& job) {
   }
 
   // Loaded only now, so an answer from the stored verdict never reads the
-  // module's cache files.
-  ModuleState& ms = GetModuleState(out.module_digest);
+  // module's corpus file.
+  vm::FingerprintTable& corpus = GetCorpus(out.module_digest);
   core::SynthesisOptions sopts = options_.synthesis;
-  sopts.shared_solver_cache = &ms.solver_cache;
   sopts.seed_schedule = seed.has_value() ? &*seed : nullptr;
 
   core::Synthesizer synthesizer(module.get(), sopts);
@@ -128,8 +125,6 @@ JobResult Server::Process(const Job& job) {
   out.solver_shared_hits = result.solver.shared_hits;
   if (seed.has_value()) {
     out.source = "incremental";
-  } else if (result.solver.shared_hits > 0) {
-    out.source = "warm";
   }
 
   ResultRecord record;
@@ -143,7 +138,7 @@ JobResult Server::Process(const Job& job) {
     record.exec_text = out.exec_text;
     // Corpus triage: identical executions mean the same bug (§8).
     const uint64_t fp = std::strtoull(out.fingerprint.c_str(), nullptr, 16);
-    out.duplicate_bug = !ms.corpus.InsertIfAbsent(fp);
+    out.duplicate_bug = !corpus.InsertIfAbsent(fp);
   }
   if (store_ != nullptr) {
     std::lock_guard<std::mutex> lock(store_mu_);
@@ -163,18 +158,13 @@ void Server::FlushAll() {
   if (store_ == nullptr) {
     return;
   }
-  std::lock_guard<std::mutex> modules_lock(modules_mu_);
+  std::lock_guard<std::mutex> corpora_lock(corpora_mu_);
   std::lock_guard<std::mutex> store_lock(store_mu_);
-  for (auto& [digest, ms] : modules_) {
-    SolverCacheImage solver_image;
-    solver_image.module_digest = digest;
-    solver_image.entries = ms->solver_cache.Snapshot();
-    store_->StoreSolverCache(solver_image);
-
-    FingerprintImage corpus_image;
-    corpus_image.module_digest = digest;
-    corpus_image.fingerprints = ms->corpus.Snapshot();
-    store_->StoreFingerprintCorpus(corpus_image);
+  for (const auto& [digest, corpus] : corpora_) {
+    FingerprintImage image;
+    image.module_digest = digest;
+    image.fingerprints = corpus->Snapshot();
+    store_->StoreFingerprintCorpus(image);
   }
 }
 

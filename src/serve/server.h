@@ -1,18 +1,17 @@
 // ESD serve: the synthesis service behind the esdserved daemon.
 //
 // One long-lived process accepts a stream of synthesis jobs (module + bug
-// report) and answers each with a verdict, keeping two caches warm across
-// jobs on the same module and — through the CacheStore — across restarts:
+// report) and answers each with a verdict. It keeps two things across jobs
+// and — through the CacheStore — across restarts:
 //
-//   - the shared solver query/counterexample cache (SynthesisOptions::
-//     shared_solver_cache): component answers solved for job N short-circuit
-//     the SAT calls of job N+1 on the same module;
-//   - the execution-fingerprint corpus: every synthesized execution's
-//     replay::Fingerprint, the duplicate-bug triage set of §8 ("is this
-//     new report the same bug we already synthesized?").
+//   - the results journal: each report's verdict, fingerprint and
+//     execution text;
+//   - the execution-fingerprint corpus of each module: every synthesized
+//     execution's replay::Fingerprint, the duplicate-bug triage set of §8
+//     ("is this new report the same bug we already synthesized?").
 //
-// Each search computes its own distance tables, as a one-shot esdsynth run
-// does.
+// A job that searches searches exactly as a one-shot esdsynth run with the
+// same options: it builds its own distance tables and solver caches.
 //
 // Incremental re-synthesis: when a report we already solved arrives with a
 // *patched* module, the stored execution file seeds the new search
@@ -32,20 +31,17 @@
 #include "src/core/synthesizer.h"
 #include "src/serve/job_queue.h"
 #include "src/serve/persistent_cache.h"
-#include "src/solver/query_cache.h"
 #include "src/vm/fingerprint.h"
 
 namespace esd::serve {
 
 struct ServerOptions {
-  // Cache directory ("" = in-memory only: caches survive across jobs but
-  // not restarts).
+  // Cache directory ("" = in-memory only: verdicts and corpora survive
+  // across jobs but not restarts).
   std::string cache_dir;
-  // Baseline synthesis options for every job; the server overlays its
-  // service hooks (shared_solver_cache, seed_schedule).
+  // Baseline synthesis options for every job; the server overlays only
+  // seed_schedule.
   core::SynthesisOptions synthesis;
-  // Byte budget for each per-module solver cache.
-  size_t solver_cache_bytes = solver::SharedSolverCache::kDefaultMaxBytes;
   // Short-circuit exact (report, module) duplicates to the stored verdict.
   bool reuse_results = true;
 };
@@ -59,10 +55,9 @@ struct JobResult {
   std::string failure_reason;
   std::string fingerprint;    // replay::Fingerprint hex of the execution.
   bool duplicate_bug = false; // Fingerprint already in the corpus.
-  // How the verdict was produced: "cold" (fresh search), "warm" (fresh
-  // search that hit the module's solver cache), "incremental" (search
-  // seeded by a prior execution's schedule), "cache" (stored verdict
-  // returned without searching).
+  // How the verdict was produced: "cold" (fresh search), "incremental"
+  // (search seeded by a prior execution's schedule), "cache" (stored
+  // verdict returned without searching).
   std::string source = "cold";
   std::string exec_text;      // Execution file text (empty if !reproduced).
   uint64_t module_digest = 0;
@@ -73,6 +68,7 @@ struct JobResult {
   // Always 0: distance tables are no longer persisted. Kept because the
   // benchmark harness (perfbench/main.cc) still reads it.
   uint64_t distance_tables_restored = 0;
+  // Solver answers one --jobs N worker took from another's solve.
   uint64_t solver_shared_hits = 0;
   double seconds = 0.0;
 };
@@ -86,8 +82,9 @@ class Server {
   // every queue worker concurrently.
   JobResult Process(const Job& job);
 
-  // Writes every in-memory cache through the CacheStore (no-op without a
-  // cache_dir). Called on shutdown and SIGINT; safe to call repeatedly.
+  // Writes every module's fingerprint corpus through the CacheStore (no-op
+  // without a cache_dir). Called on shutdown and SIGINT; safe to call
+  // repeatedly.
   void FlushAll();
 
   struct Stats {
@@ -100,7 +97,10 @@ class Server {
     // Always 0, like JobResult::distance_tables_restored, and kept for the
     // same reader.
     uint64_t distance_tables_restored = 0;
-    uint64_t solver_entries_preloaded = 0;  // Loaded from disk at module birth.
+    // Always 0: solver answers are no longer persisted. Kept for the same
+    // reader.
+    uint64_t solver_entries_preloaded = 0;
+    // Fingerprints loaded from disk, once per module.
     uint64_t corpus_preloaded = 0;
   };
   Stats stats() const;
@@ -112,20 +112,15 @@ class Server {
   const ServerOptions& options() const { return options_; }
 
  private:
-  // Everything the daemon keeps warm for one module (by content digest).
-  struct ModuleState {
-    explicit ModuleState(size_t solver_bytes) : solver_cache(solver_bytes) {}
-    solver::SharedSolverCache solver_cache;
-    vm::FingerprintTable corpus;
-  };
-
-  ModuleState& GetModuleState(uint64_t module_digest);
+  // The fingerprint corpus of one module (by content digest), loaded from
+  // disk by the first job that needs it.
+  vm::FingerprintTable& GetCorpus(uint64_t module_digest);
 
   ServerOptions options_;
   std::unique_ptr<CacheStore> store_;  // Null when cache_dir is empty.
   mutable std::mutex store_mu_;        // CacheStore is not thread-safe.
-  mutable std::mutex modules_mu_;
-  std::map<uint64_t, std::unique_ptr<ModuleState>> modules_;
+  mutable std::mutex corpora_mu_;
+  std::map<uint64_t, std::unique_ptr<vm::FingerprintTable>> corpora_;
   mutable std::mutex stats_mu_;
   Stats stats_;
   std::vector<std::string> load_errors_;

@@ -54,9 +54,6 @@ std::optional<SharedSolverCache::Hit> SharedSolverCache::Lookup(
     hit.model = it->second.model;  // Copied under the lock.
   }
   hit.cross_worker = it->second.owner != self;
-  if (it->second.preloaded) {
-    ++shard.preloaded_hits;
-  }
   return hit;
 }
 
@@ -116,61 +113,8 @@ SharedSolverCache::Stats SharedSolverCache::stats() const {
   for (const Shard& shard : shards_) {
     std::lock_guard<std::mutex> lock(shard.mu);
     stats.evictions += shard.evictions;
-    stats.preloaded += shard.preloaded;
-    stats.preloaded_hits += shard.preloaded_hits;
   }
   return stats;
-}
-
-std::vector<SharedSolverCache::SnapshotEntry> SharedSolverCache::Snapshot()
-    const {
-  std::vector<SnapshotEntry> entries;
-  for (const Shard& shard : shards_) {
-    std::lock_guard<std::mutex> lock(shard.mu);
-    for (const auto& [key, entry] : shard.map) {
-      SnapshotEntry se;
-      se.key = key;
-      se.sat = entry.sat;
-      se.has_model = entry.has_model;
-      if (entry.has_model) {
-        se.values.assign(entry.model.values.begin(), entry.model.values.end());
-        se.names.assign(entry.model.names.begin(), entry.model.names.end());
-      }
-      entries.push_back(std::move(se));
-    }
-  }
-  std::sort(entries.begin(), entries.end(),
-            [](const SnapshotEntry& a, const SnapshotEntry& b) {
-              return a.key < b.key;
-            });
-  return entries;
-}
-
-void SharedSolverCache::Preload(const std::vector<SnapshotEntry>& entries) {
-  for (const SnapshotEntry& se : entries) {
-    Shard& shard = ShardFor(se.key);
-    std::lock_guard<std::mutex> lock(shard.mu);
-    auto [it, inserted] = shard.map.try_emplace(se.key);
-    if (!inserted) {
-      continue;  // Live entry wins over the snapshot.
-    }
-    it->second.sat = se.sat;
-    it->second.owner = nullptr;  // No solver owns it: every hit is cross-run.
-    it->second.preloaded = true;
-    if (se.has_model) {
-      Model model;
-      model.values.insert(se.values.begin(), se.values.end());
-      model.names.insert(se.names.begin(), se.names.end());
-      if (EntryFootprint(model, true) <= shard_budget_) {
-        it->second.model = std::move(model);
-        it->second.has_model = true;
-      }
-    }
-    shard.bytes += EntryFootprint(it->second.model, it->second.has_model);
-    shard.order.push_back(se.key);
-    ++shard.preloaded;
-    EvictToBudget(shard);
-  }
 }
 
 }  // namespace esd::solver

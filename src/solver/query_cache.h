@@ -5,7 +5,8 @@
 // questions. This cache lets an answer computed by one worker short-circuit
 // the SAT call in every other worker, mirroring the `--dedup` shared
 // fingerprint table: sharded, mutex-striped (one lock per shard, never held
-// across a solve), bounded FIFO per shard.
+// across a solve), bounded FIFO per shard. One search owns it and drops it
+// when the search ends; nothing persists it.
 //
 // Entries record the inserting solver so a lookup can tell a *cross-worker*
 // hit (the interesting, portfolio-only win) from a worker re-finding its own
@@ -14,17 +15,11 @@
 // before trusting — re-validation makes sharing safe even across the rare
 // 64-bit key collision.
 //
-// Eviction is byte-accounted, not entry-counted: a long-lived process (the
-// esdserved daemon keeps one cache alive across thousands of jobs) retaining
-// large models would otherwise grow without bound even while the entry count
-// sat under the cap. Each shard tracks the footprint of its entries
-// (EntryFootprint) and evicts FIFO until both the entry cap and its byte
-// budget hold.
-//
-// The cache is also the first persisted cache of the synthesis service:
-// Snapshot() exports every entry in deterministic (key-sorted) order and
-// Preload() seeds a fresh cache from a parsed snapshot. Preloaded entries
-// have no owning solver, so every hit on them counts as a cross-run hit.
+// Eviction is byte-accounted, not entry-counted: one `--jobs N` search can
+// run for minutes, and retaining large models would otherwise grow the
+// cache without bound even while the entry count sat under the cap. Each
+// shard tracks the footprint of its entries (EntryFootprint) and evicts
+// FIFO until both the entry cap and its byte budget hold.
 #ifndef ESD_SRC_SOLVER_QUERY_CACHE_H_
 #define ESD_SRC_SOLVER_QUERY_CACHE_H_
 
@@ -34,7 +29,6 @@
 #include <mutex>
 #include <optional>
 #include <unordered_map>
-#include <vector>
 
 #include "src/solver/solver.h"  // For Model; solver.h only forward-declares us.
 
@@ -69,44 +63,22 @@ class SharedSolverCache {
   size_t max_bytes() const { return max_bytes_; }
 
   struct Stats {
-    uint64_t evictions = 0;       // FIFO evictions (entry cap or byte budget).
-    uint64_t preloaded = 0;       // Entries seeded by Preload().
-    uint64_t preloaded_hits = 0;  // Lookups answered by a preloaded entry.
+    uint64_t evictions = 0;  // FIFO evictions (entry cap or byte budget).
   };
   Stats stats() const;
-
-  // One persisted cache entry. `values`/`names` flatten the model maps in
-  // key order, so a Snapshot of a given cache state is deterministic.
-  struct SnapshotEntry {
-    uint64_t key = 0;
-    bool sat = false;
-    bool has_model = false;
-    std::vector<std::pair<uint64_t, uint64_t>> values;     // id -> value.
-    std::vector<std::pair<uint64_t, std::string>> names;   // id -> name.
-  };
-
-  // Exports every entry, sorted by key (deterministic across shard layouts:
-  // serialize -> Preload -> Snapshot is byte-stable).
-  std::vector<SnapshotEntry> Snapshot() const;
-
-  // Seeds the cache from a parsed snapshot. Entries carry a null owner, so
-  // any solver's hit on them is a cross-worker (cross-run) hit. Respects
-  // the entry cap and byte budget like Insert.
-  void Preload(const std::vector<SnapshotEntry>& entries);
 
   // The deterministic footprint formula byte accounting uses: fixed entry
   // overhead plus the model payload (one slot per value pair, plus name
   // bytes). Deliberately a model of the cost, not malloc truth — it must be
-  // identical across platforms so the byte-eviction regression tests and
-  // the persisted snapshots behave the same everywhere.
+  // identical across platforms so the byte-eviction regression tests
+  // behave the same everywhere.
   static size_t EntryFootprint(const Model& model, bool has_model);
 
   static constexpr size_t kShards = 16;
   // Per-shard FIFO bound: kShards * kShardCap entries total, matching the
   // order of magnitude of the per-worker query cache.
   static constexpr size_t kShardCap = 1 << 12;
-  // Default byte budget: 64 MiB across shards. Generous for one run,
-  // bounded for a daemon holding the cache across thousands.
+  // Default byte budget: 64 MiB across shards, generous for one run.
   static constexpr size_t kDefaultMaxBytes = 64u << 20;
   // Fixed per-entry overhead EntryFootprint charges: key + FIFO slot +
   // entry header, rounded to a stable 64.
@@ -116,7 +88,6 @@ class SharedSolverCache {
   struct Entry {
     bool sat = false;
     bool has_model = false;
-    bool preloaded = false;
     Model model;
     const void* owner = nullptr;
   };
@@ -126,8 +97,6 @@ class SharedSolverCache {
     std::deque<size_t> order;  // Insertion order, for FIFO eviction.
     size_t bytes = 0;
     uint64_t evictions = 0;
-    uint64_t preloaded = 0;
-    uint64_t preloaded_hits = 0;
   };
 
   // Evicts FIFO until `shard` honors both the entry cap and the byte

@@ -9,6 +9,7 @@
 #include <cstdio>
 #include <fstream>
 #include <string>
+#include <tuple>
 #include <utility>
 #include <sys/wait.h>
 
@@ -202,8 +203,6 @@ TEST_F(CliNegativeTest, MalformedNumericFlagsAreOneLineErrors) {
       {served + " --jobs 2x", "--jobs"},
       {served + " --threads 1x", "--threads"},
       {served + " --time-cap abc", "--time-cap"},
-      // 2^44 MiB is 2^64 bytes: it used to wrap around to a zero budget.
-      {served + " --solver-cache-mb 17592186044416", "--solver-cache-mb"},
   };
   for (const auto& [command, flag] : kBad) {
     RunResult r = ExpectOneLineFailure(command);
@@ -270,19 +269,27 @@ TEST_F(CliNegativeTest, EsdservedNegativePaths) {
   EXPECT_NE(r.stderr_text.find("dropped"), std::string::npos) << r.stderr_text;
 }
 
-TEST_F(CliNegativeTest, RemovedPortfolioFlagsAreUnknownOptions) {
-  // One search driver serves every --jobs value, so the racing-portfolio
-  // and private-table switches are gone: each is an unknown option, with
-  // exit 2 and the usual one-line error naming it.
+TEST_F(CliNegativeTest, RemovedFlagsAreUnknownOptions) {
+  // Switches whose mechanism is gone are unknown options, with exit 2 and
+  // the usual one-line error naming them: one search driver serves every
+  // --jobs value (the racing-portfolio and private-table switches), the
+  // solver stages are switched one by one (--no-solver-pipeline), and the
+  // service keeps no solver cache (--solver-cache-mb). Each flag comes with
+  // the argument it used to take, so a tool that still knew it would run.
   const std::string synth = Tool("esdsynth") + " " + program_ + " " + bad_core_;
   const std::string fuzz = Tool("esdfuzz");
-  const std::pair<std::string, std::string> kRemoved[] = {
-      {synth, "--race-portfolio"}, {synth, "--cooperative"},
-      {synth, "--dedup-private"},  {fuzz, "--race-portfolio"},
-      {fuzz, "--cooperative"},
+  const std::string served = Tool("esdserved") + " --once";
+  const std::tuple<std::string, std::string, std::string> kRemoved[] = {
+      {synth, "--race-portfolio", ""},
+      {synth, "--cooperative", ""},
+      {synth, "--dedup-private", ""},
+      {synth, "--no-solver-pipeline", ""},
+      {fuzz, "--race-portfolio", ""},
+      {fuzz, "--cooperative", ""},
+      {served, "--solver-cache-mb", " 64"},
   };
-  for (const auto& [tool, flag] : kRemoved) {
-    RunResult r = ExpectOneLineFailure(tool + " --jobs 2 " + flag);
+  for (const auto& [tool, flag, argument] : kRemoved) {
+    RunResult r = ExpectOneLineFailure(tool + " --jobs 2 " + flag + argument);
     EXPECT_EQ(r.exit_code, 2) << flag;
     EXPECT_NE(r.stderr_text.find("unknown option or missing argument: '" + flag + "'"),
               std::string::npos)

@@ -1,11 +1,12 @@
-// The persisted-cache contract of the synthesis service: for each of the
-// two cache formats (solver query cache, fingerprint corpus), serialize ->
-// parse -> serialize must be byte-identical, and every corruption class —
-// truncation, trailing garbage, a version bump, a module-digest mismatch —
-// must fail the strict parse with a one-line error. The CacheStore must
-// quarantine such a file and keep serving. The results journal must survive
-// reopening, drop only a torn final record, let a later record for a report
-// win, and load nothing but stored records from any mutant of itself.
+// The persisted-cache contract of the synthesis service: for the
+// fingerprint-corpus format, serialize -> parse -> serialize must be
+// byte-identical, and every corruption class — truncation, trailing
+// garbage, a version bump, a module-digest mismatch, an unknown directive,
+// a wrong count — must fail the strict parse with a one-line error. The
+// CacheStore must quarantine such a file and keep serving. The results
+// journal must survive reopening, drop only a torn final record, let a
+// later record for a report win, and load nothing but stored records from
+// any mutant of itself.
 #include <gtest/gtest.h>
 
 #include <cstdio>
@@ -18,49 +19,18 @@
 
 #include "src/serve/cache_io.h"
 #include "src/serve/persistent_cache.h"
-#include "src/solver/query_cache.h"
 
 namespace esd::serve {
 namespace {
 
-// A solver-cache image with every entry shape: unsat, model-less sat, and
-// sat with a model whose names need escaping.
-SolverCacheImage MakeSolverImage() {
-  solver::SharedSolverCache cache;
-  solver::Model model;
-  model.values[1] = 7;
-  model.values[42] = 0xffffffffffffffffull;
-  model.names[1] = "plain";
-  model.names[42] = "name with spaces\tand\ntabs%20";
-  cache.Insert(0x1111, false, nullptr, &cache);
-  cache.Insert(0x2222, true, nullptr, &cache);
-  cache.Insert(0x3333, true, &model, &cache);
-  SolverCacheImage image;
+// A corpus image with enough records that cutting it at a quarter, a half
+// or just before the trailer lands in different records.
+FingerprintImage MakeCorpusImage() {
+  FingerprintImage image;
   image.module_digest = 0xdeadbeefcafef00dull;
-  image.entries = cache.Snapshot();
+  image.fingerprints = {0x1ull, 0x2222ull, 0xabcdull, 0x123456789ull,
+                        0xfedcba9876543210ull, 0xffffffffffffffffull};
   return image;
-}
-
-TEST(ServeCacheIoTest, SolverCacheRoundTripsByteIdentical) {
-  SolverCacheImage image = MakeSolverImage();
-  std::string text = SolverCacheToText(image);
-  std::string error;
-  auto parsed = ParseSolverCache(text, image.module_digest, &error);
-  ASSERT_TRUE(parsed.has_value()) << error;
-  EXPECT_EQ(SolverCacheToText(*parsed), text);
-  ASSERT_EQ(parsed->entries.size(), image.entries.size());
-  // The escaped model names decode back to the exact original bytes.
-  const auto& entry = parsed->entries.back();
-  ASSERT_EQ(entry.names.size(), 2u);
-  EXPECT_EQ(entry.names[1].second, "name with spaces\tand\ntabs%20");
-  // Preloading the parsed image reproduces the same Snapshot.
-  solver::SharedSolverCache reloaded;
-  reloaded.Preload(parsed->entries);
-  SolverCacheImage again;
-  again.module_digest = image.module_digest;
-  again.entries = reloaded.Snapshot();
-  EXPECT_EQ(SolverCacheToText(again), text);
-  EXPECT_EQ(reloaded.stats().preloaded, image.entries.size());
 }
 
 TEST(ServeCacheIoTest, FingerprintCorpusRoundTripsByteIdentical) {
@@ -77,55 +47,59 @@ TEST(ServeCacheIoTest, FingerprintCorpusRoundTripsByteIdentical) {
 
 // Every corruption class rejects with a one-line error naming the problem.
 TEST(ServeCacheIoTest, CorruptionClassesRejected) {
-  SolverCacheImage image = MakeSolverImage();
-  std::string good = SolverCacheToText(image);
+  FingerprintImage image = MakeCorpusImage();
+  std::string good = FingerprintCorpusToText(image);
   std::string error;
 
   // Truncation: cutting the file anywhere before the trailer fails (either
   // a torn record or a missing/mismatched end count).
   for (size_t cut : {good.size() - 2, good.size() / 2, good.size() / 4}) {
     error.clear();
-    EXPECT_FALSE(
-        ParseSolverCache(good.substr(0, cut), image.module_digest, &error)
-            .has_value())
+    EXPECT_FALSE(ParseFingerprintCorpus(good.substr(0, cut),
+                                        image.module_digest, &error)
+                     .has_value())
         << "cut at " << cut;
     EXPECT_FALSE(error.empty());
   }
 
   // Trailing garbage after the end trailer — even a blank line.
   error.clear();
-  EXPECT_FALSE(
-      ParseSolverCache(good + "extra\n", image.module_digest, &error).has_value());
+  EXPECT_FALSE(ParseFingerprintCorpus(good + "extra\n", image.module_digest,
+                                      &error)
+                   .has_value());
   EXPECT_NE(error.find("trailing garbage"), std::string::npos) << error;
   EXPECT_FALSE(
-      ParseSolverCache(good + "\n", image.module_digest, &error).has_value());
+      ParseFingerprintCorpus(good + "\n", image.module_digest, &error)
+          .has_value());
 
   // Version bump: a v2 writer's file is rejected by the v1 parser.
   std::string bumped = good;
   bumped.replace(bumped.find(" v1\n"), 4, " v2\n");
   error.clear();
   EXPECT_FALSE(
-      ParseSolverCache(bumped, image.module_digest, &error).has_value());
+      ParseFingerprintCorpus(bumped, image.module_digest, &error).has_value());
   EXPECT_NE(error.find("version"), std::string::npos) << error;
 
   // Digest mismatch: the file is internally valid but for another module.
   error.clear();
-  EXPECT_FALSE(
-      ParseSolverCache(good, image.module_digest + 1, &error).has_value());
+  EXPECT_FALSE(ParseFingerprintCorpus(good, image.module_digest + 1, &error)
+                   .has_value());
   EXPECT_NE(error.find("digest mismatch"), std::string::npos) << error;
   // kAnyDigest accepts it.
-  EXPECT_TRUE(ParseSolverCache(good, kAnyDigest, &error).has_value());
+  EXPECT_TRUE(ParseFingerprintCorpus(good, kAnyDigest, &error).has_value());
 
   // Unknown directive and a wrong end count.
-  EXPECT_FALSE(ParseSolverCache(
-                   "esdcache solver v1\nmodule 1\nfrobnicate\nend 0\n", 1, &error)
+  error.clear();
+  EXPECT_FALSE(ParseFingerprintCorpus(
+                   "esdcache fps v1\nmodule 1\nfrobnicate\nend 0\n", 1, &error)
                    .has_value());
-  EXPECT_FALSE(ParseSolverCache(
-                   "esdcache solver v1\nmodule 1\nq 1 unsat\nend 5\n", 1, &error)
+  EXPECT_NE(error.find("unknown directive"), std::string::npos) << error;
+  EXPECT_FALSE(ParseFingerprintCorpus(
+                   "esdcache fps v1\nmodule 1\nfp 1\nend 5\n", 1, &error)
                    .has_value());
   EXPECT_NE(error.find("end count"), std::string::npos) << error;
 
-  // The same classes for the fingerprint format (spot checks).
+  // Spot checks on a second image.
   FingerprintImage fps;
   fps.module_digest = 9;
   fps.fingerprints = {1, 2, 3};
@@ -150,9 +124,9 @@ TEST(ServeCacheStoreTest, CorruptedFileIsQuarantinedAndRegenerated) {
   CacheStore store(dir);
   ASSERT_TRUE(store.ok()) << store.error();
 
-  SolverCacheImage image = MakeSolverImage();
-  ASSERT_TRUE(store.StoreSolverCache(image));
-  ASSERT_TRUE(store.LoadSolverCache(image.module_digest).has_value());
+  FingerprintImage image = MakeCorpusImage();
+  ASSERT_TRUE(store.StoreFingerprintCorpus(image));
+  ASSERT_TRUE(store.LoadFingerprintCorpus(image.module_digest).has_value());
 
   // Corrupt the file in place (torn write: half the bytes).
   std::string path = dir + "/" +
@@ -163,25 +137,26 @@ TEST(ServeCacheStoreTest, CorruptedFileIsQuarantinedAndRegenerated) {
                                          image.module_digest));
                        return std::string(buf);
                      }() +
-                     ".solver.esdc";
-  std::string good = SolverCacheToText(image);
+                     ".fps.esdc";
+  ASSERT_TRUE(std::filesystem::exists(path));
+  std::string good = FingerprintCorpusToText(image);
   {
     std::ofstream out(path, std::ios::trunc);
     out << good.substr(0, good.size() / 2);
   }
 
   // The load fails softly: nullopt, file moved to .quarantined, one error.
-  EXPECT_FALSE(store.LoadSolverCache(image.module_digest).has_value());
+  EXPECT_FALSE(store.LoadFingerprintCorpus(image.module_digest).has_value());
   EXPECT_FALSE(std::filesystem::exists(path));
   EXPECT_TRUE(std::filesystem::exists(path + ".quarantined"));
   ASSERT_EQ(store.load_errors().size(), 1u);
   EXPECT_NE(store.load_errors()[0].find("quarantined"), std::string::npos);
 
   // The store still accepts a regenerated cache afterwards.
-  ASSERT_TRUE(store.StoreSolverCache(image));
-  auto reloaded = store.LoadSolverCache(image.module_digest);
+  ASSERT_TRUE(store.StoreFingerprintCorpus(image));
+  auto reloaded = store.LoadFingerprintCorpus(image.module_digest);
   ASSERT_TRUE(reloaded.has_value());
-  EXPECT_EQ(SolverCacheToText(*reloaded), good);
+  EXPECT_EQ(FingerprintCorpusToText(*reloaded), good);
 }
 
 // ---- Results journal --------------------------------------------------------

@@ -1,11 +1,13 @@
-// The synthesis service end-to-end, in-process: the sharded job queue's
-// affinity/stealing/drain behavior, and the Server's reuse ladder — cold
-// search, stored-verdict short-circuit that loads no per-module cache, warm
-// search over reloaded solver caches after a "restart" that never reads a
-// distance-table file an earlier version left behind, incremental
-// re-synthesis of a patched module seeded by the prior execution, survival
-// of a corrupted cache file mid-service, a corrupted stored execution that
-// must not be served, and a verdict that survives a hard kill.
+// The synthesis service end-to-end, in-process: the job queue's FIFO and
+// drain behavior, and the Server's reuse ladder — cold search,
+// stored-verdict short-circuit that loads no per-module corpus, a real
+// search after a "restart" that flags the bug as a known duplicate and
+// never reads a distance-table or solver-cache file an earlier version
+// left behind, incremental re-synthesis of a patched module seeded by the
+// prior execution, a module's corpus counted once when concurrent jobs load
+// it, survival of a corrupted corpus file mid-service, a corrupted stored
+// execution that must not be served, and a verdict that survives a hard
+// kill.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -13,6 +15,7 @@
 #include <filesystem>
 #include <fstream>
 #include <iterator>
+#include <latch>
 #include <optional>
 #include <string>
 #include <thread>
@@ -29,57 +32,62 @@
 namespace esd::serve {
 namespace {
 
-TEST(JobQueueTest, AffinityRoutingThenDrainAfterClose) {
-  JobQueue queue(4);
-  // Worker 2's home shard gets both jobs for digest 2; worker 0 gets one.
-  for (uint64_t i = 0; i < 2; ++i) {
+// Whichever worker asks gets the oldest job; after Close the queue still
+// hands out what it holds, in order, then reports shutdown.
+TEST(JobQueueTest, FifoAcrossWorkersThenDrainAfterClose) {
+  JobQueue queue;
+  for (uint64_t i = 0; i < 6; ++i) {
     Job job;
     job.id = i;
-    ASSERT_TRUE(queue.Push(job, /*module_digest=*/2));
+    ASSERT_TRUE(queue.Push(job));
   }
-  Job other;
-  other.id = 99;
-  ASSERT_TRUE(queue.Push(other, /*module_digest=*/4));  // 4 % 4 = shard 0.
+  // Three workers, one after another, each take one job.
+  std::vector<uint64_t> order;
+  for (int w = 0; w < 3; ++w) {
+    std::thread worker([&queue, &order] {
+      auto job = queue.Pop();
+      ASSERT_TRUE(job.has_value());
+      order.push_back(job->id);
+    });
+    worker.join();
+  }
+  EXPECT_EQ(order, (std::vector<uint64_t>{0, 1, 2}));
 
-  // The home worker drains its own shard first, in FIFO order.
-  auto first = queue.Pop(2);
-  auto second = queue.Pop(2);
-  ASSERT_TRUE(first && second);
-  EXPECT_EQ(first->id, 0u);
-  EXPECT_EQ(second->id, 1u);
-  // With its own shard empty, worker 2 steals worker 0's job.
-  auto stolen = queue.Pop(2);
-  ASSERT_TRUE(stolen);
-  EXPECT_EQ(stolen->id, 99u);
-  EXPECT_EQ(queue.stats().stolen, 1u);
-  EXPECT_EQ(queue.stats().pushed, 3u);
-  EXPECT_EQ(queue.stats().popped, 3u);
-
+  // Closed with three jobs left: a fourth worker drains them in order.
   queue.Close();
-  EXPECT_FALSE(queue.Pop(2).has_value());
   Job late;
-  EXPECT_FALSE(queue.Push(late, 0));
+  EXPECT_FALSE(queue.Push(late));
+  std::thread drainer([&queue, &order] {
+    while (auto job = queue.Pop()) {
+      order.push_back(job->id);
+    }
+  });
+  drainer.join();
+  EXPECT_EQ(order, (std::vector<uint64_t>{0, 1, 2, 3, 4, 5}));
+  EXPECT_FALSE(queue.Pop().has_value());
 }
 
 TEST(JobQueueTest, CloseWakesBlockedWorkers) {
-  JobQueue queue(2);
+  JobQueue queue;
   std::vector<std::thread> workers;
   std::atomic<int> drained{0};
+  std::atomic<int> popped{0};
   for (size_t w = 0; w < 2; ++w) {
-    workers.emplace_back([&queue, &drained, w] {
-      while (queue.Pop(w).has_value()) {
+    workers.emplace_back([&queue, &drained, &popped] {
+      while (queue.Pop().has_value()) {
+        popped.fetch_add(1);
       }
       drained.fetch_add(1);
     });
   }
   Job job;
-  queue.Push(job, 0);
+  queue.Push(job);
   queue.Close();
   for (auto& t : workers) {
     t.join();
   }
   EXPECT_EQ(drained.load(), 2);
-  EXPECT_EQ(queue.stats().popped, 1u);
+  EXPECT_EQ(popped.load(), 1);
 }
 
 // ---- Server reuse ladder ----------------------------------------------------
@@ -156,13 +164,14 @@ TEST(ServeServerTest, ReuseLadderAcrossRestarts) {
     EXPECT_TRUE(cached.reproduced);
     EXPECT_EQ(cached.fingerprint, fingerprint);
     EXPECT_EQ(server.stats().verdict_cache_hits, 1u);
-    // ~Server flushes every cache to disk.
+    // ~Server flushes the module's corpus to disk.
   }
-  // Distance tables are not persisted.
+  // Neither distance tables nor solver answers are persisted.
   EXPECT_TRUE(FilesEndingIn(dir, ".dist.esdc").empty());
+  EXPECT_TRUE(FilesEndingIn(dir, ".solver.esdc").empty());
 
   // Rung 3: a restarted daemon answers from the persisted results index,
-  // without loading the module's solver cache or corpus.
+  // without loading the module's corpus.
   {
     Server server(BaseOptions(dir));
     JobResult cached = server.Process(job);
@@ -173,11 +182,14 @@ TEST(ServeServerTest, ReuseLadderAcrossRestarts) {
     EXPECT_EQ(server.stats().solver_entries_preloaded, 0u);
     EXPECT_EQ(server.stats().corpus_preloaded, 0u);
   }
+  EXPECT_TRUE(FilesEndingIn(dir, ".solver.esdc").empty());
 
-  // An upgrade leaves the distance-table file of an earlier version behind.
-  // This one is hostile: its row count asks for ~8 EB. For this scenario
-  // the searched module digests like the module itself, so the file carries
-  // the name and module line an earlier version would have read.
+  // An upgrade leaves the distance-table and solver-cache files of earlier
+  // versions behind. Both are hostile: the distance file's row count asks
+  // for ~8 EB, and the solver file's model value does not fit in 64 bits.
+  // For this scenario the searched module digests like the module itself,
+  // so each file carries the name and module line an earlier version would
+  // have read.
   char hex[17];
   std::snprintf(hex, sizeof(hex), "%016llx",
                 static_cast<unsigned long long>(module_digest));
@@ -187,33 +199,41 @@ TEST(ServeServerTest, ReuseLadderAcrossRestarts) {
   ASSERT_EQ(stale_text.size(), 74u);
   const std::filesystem::path stale_path =
       std::filesystem::path(dir) / (std::string(hex) + ".dist.esdc");
-  {
-    std::ofstream out(stale_path, std::ios::binary | std::ios::trunc);
-    out << stale_text;
+  const std::string stale_solver_text =
+      std::string("esdcache solver v1\nmodule ") + hex +
+      "\nq 0000000000000001 sat-model\nv 1 99999999999999999999999\n"
+      "end 1\n";
+  const std::filesystem::path stale_solver_path =
+      std::filesystem::path(dir) / (std::string(hex) + ".solver.esdc");
+  for (const auto& [path, text] :
+       {std::pair{stale_path, stale_text},
+        std::pair{stale_solver_path, stale_solver_text}}) {
+    std::ofstream out(path, std::ios::binary | std::ios::trunc);
+    out << text;
   }
 
   // Rung 4: with verdict reuse off, the restarted daemon must actually
-  // search — but warm: it hits the preloaded solver entries, and the corpus
-  // flags the synthesized bug as a known duplicate. The stale distance file
-  // is never read.
+  // search, cold, and find the same execution; the persisted corpus flags
+  // it as a known duplicate. Neither stale file is read, and no solver
+  // entry is preloaded.
   {
     ServerOptions options = BaseOptions(dir);
     options.reuse_results = false;
     Server server(options);
-    JobResult warm = server.Process(job);
-    ASSERT_TRUE(warm.ok) << warm.error;
-    ASSERT_TRUE(warm.reproduced) << warm.failure_reason;
-    EXPECT_EQ(warm.source, "warm");
-    EXPECT_EQ(warm.fingerprint, fingerprint);
-    EXPECT_TRUE(warm.duplicate_bug);
-    EXPECT_GT(warm.solver_shared_hits, 0u);
+    JobResult again = server.Process(job);
+    ASSERT_TRUE(again.ok) << again.error;
+    ASSERT_TRUE(again.reproduced) << again.failure_reason;
+    EXPECT_EQ(again.source, "cold");
+    EXPECT_EQ(again.fingerprint, fingerprint);
+    EXPECT_TRUE(again.duplicate_bug);
     Server::Stats stats = server.stats();
-    EXPECT_GT(stats.solver_entries_preloaded, 0u);
+    EXPECT_EQ(stats.solver_entries_preloaded, 0u);
     EXPECT_GT(stats.corpus_preloaded, 0u);
     EXPECT_EQ(stats.duplicate_bugs, 1u);
     EXPECT_TRUE(server.TakeLoadErrors().empty());
   }
   EXPECT_EQ(ReadFile(stale_path), stale_text);
+  EXPECT_EQ(ReadFile(stale_solver_path), stale_solver_text);
 
   // Rung 5: the same report against a *patched* module finds the stored
   // execution and seeds the search from its schedule.
@@ -230,6 +250,53 @@ TEST(ServeServerTest, ReuseLadderAcrossRestarts) {
     EXPECT_NE(incremental.module_digest, 0u);
     EXPECT_EQ(server.stats().incremental, 1u);
   }
+  // No rung wrote a solver file: the only one is the planted one.
+  EXPECT_EQ(FilesEndingIn(dir, ".solver.esdc"),
+            std::vector<std::filesystem::path>{stale_solver_path});
+}
+
+// Concurrent jobs on one module load its persisted corpus once, and only
+// that load is counted: 8 workers search the same job at once, with verdict
+// reuse off, over a directory that holds the module's one-fingerprint
+// corpus.
+TEST(ServeServerTest, ConcurrentJobsCountAModulesCorpusOnce) {
+  std::string dir = ::testing::TempDir() + "/esd_serve_concurrent_test";
+  std::filesystem::remove_all(dir);
+  fuzz::GeneratedProgram program = Scenario();
+  Job job = MakeJob(1, program);
+  std::string fingerprint;
+  {
+    Server server(BaseOptions(dir));
+    JobResult cold = server.Process(job);
+    ASSERT_TRUE(cold.ok && cold.reproduced) << cold.failure_reason;
+    fingerprint = cold.fingerprint;
+  }
+  ASSERT_EQ(FilesEndingIn(dir, ".fps.esdc").size(), 1u);
+
+  ServerOptions options = BaseOptions(dir);
+  options.reuse_results = false;
+  Server server(options);
+  constexpr int kWorkers = 8;
+  std::vector<JobResult> results(kWorkers);
+  std::latch start(kWorkers);
+  std::vector<std::thread> workers;
+  for (int w = 0; w < kWorkers; ++w) {
+    workers.emplace_back([&, w] {
+      start.arrive_and_wait();
+      results[w] = server.Process(job);
+    });
+  }
+  for (std::thread& t : workers) {
+    t.join();
+  }
+  for (const JobResult& r : results) {
+    ASSERT_TRUE(r.ok && r.reproduced) << r.error << r.failure_reason;
+    EXPECT_EQ(r.fingerprint, fingerprint);
+    EXPECT_TRUE(r.duplicate_bug);
+  }
+  EXPECT_EQ(server.stats().corpus_preloaded, 1u);
+  EXPECT_EQ(server.stats().duplicate_bugs, static_cast<uint64_t>(kWorkers));
+  EXPECT_TRUE(server.TakeLoadErrors().empty());
 }
 
 TEST(ServeServerTest, MalformedInputsFailSoftly) {
@@ -276,18 +343,18 @@ TEST(ServeServerTest, CorruptedCacheFileMidServiceIsQuarantinedNotFatal) {
     ASSERT_TRUE(cold.ok && cold.reproduced);
   }
 
-  // Corrupt every solver-cache file — a torn disk write while the daemon
-  // was down.
-  const std::vector<std::filesystem::path> solver_files =
-      FilesEndingIn(dir, ".solver.esdc");
-  ASSERT_FALSE(solver_files.empty());
-  for (const std::filesystem::path& path : solver_files) {
+  // Corrupt every corpus file — a torn disk write while the daemon was
+  // down.
+  const std::vector<std::filesystem::path> corpus_files =
+      FilesEndingIn(dir, ".fps.esdc");
+  ASSERT_FALSE(corpus_files.empty());
+  for (const std::filesystem::path& path : corpus_files) {
     std::ofstream out(path, std::ios::trunc);
-    out << "esdcache solver v1\nmodule garbage\n";
+    out << "esdcache fps v1\nmodule garbage\n";
   }
 
   // The restarted daemon quarantines the file, reports it once, and still
-  // produces the verdict (a search without the lost solver entries).
+  // produces the verdict (a search that no longer knows the bug).
   ServerOptions options = BaseOptions(dir);
   options.reuse_results = false;
   Server server(options);

@@ -955,10 +955,10 @@ Model BigModel(size_t vars, size_t name_bytes) {
   return m;
 }
 
-// The daemon regression: entry-count eviction alone let a long-lived cache
-// holding large models grow without bound. Byte accounting must keep the
-// summed footprint under the configured ceiling even when the entry count
-// is far below the entry cap.
+// Entry-count eviction alone let a long-lived cache holding large models
+// grow without bound. Byte accounting must keep the summed footprint under
+// the configured ceiling even when the entry count is far below the entry
+// cap.
 TEST(SharedCacheTest, ByteBudgetEvictsOversizedModelsUnderEntryCap) {
   const size_t max_bytes = 64 * 1024;
   SharedSolverCache cache(max_bytes);

@@ -2,25 +2,24 @@
 //
 //   esdserved [--cache-dir DIR] [--jobs N] [--threads N] [--once]
 //             [--out-dir DIR] [--no-reuse-results] [--time-cap SECONDS]
-//             [--solver-cache-mb N] [MANIFEST...]
+//             [MANIFEST...]
 //
 // Accepts a stream of synthesis jobs — each a module plus a bug report —
 // through manifest files and/or stdin, one job per line:
 //
 //   <module.esd> <report.core> [out.exec]
 //
-// Jobs are routed through a module-digest-sharded queue to synthesis
-// workers. The daemon keeps the solver query cache and the
-// execution-fingerprint corpus warm across jobs on the same module and,
-// with --cache-dir, across restarts (crash-safe versioned cache files; a
-// corrupted file is quarantined and regenerated, never trusted). Each
-// search computes its own distance tables.
-// A re-submitted (report, module) pair answers from the stored verdict;
-// a known report against a *patched* module seeds the new search from the
-// previously synthesized execution (incremental re-synthesis).
+// Jobs go through one FIFO queue to the synthesis workers. Each job
+// searches exactly as esdsynth does with the same options. The daemon
+// keeps every verdict and each module's execution-fingerprint corpus
+// across jobs and, with --cache-dir, across restarts (crash-safe versioned
+// cache files; a corrupted file is quarantined and regenerated, never
+// trusted). A re-submitted (report, module) pair answers from the stored
+// verdict; a known report against a *patched* module seeds the new search
+// from the previously synthesized execution (incremental re-synthesis).
 //
-// SIGINT (or end of input with --once) drains the queue, flushes every
-// cache to disk, prints the reuse summary, and exits 0.
+// SIGINT (or end of input with --once) drains the queue, flushes the
+// corpora to disk, prints the reuse summary, and exits 0.
 #include <csignal>
 #include <iostream>
 #include <mutex>
@@ -41,18 +40,17 @@ void Usage(std::ostream& os = std::cerr) {
      << "Persistent synthesis service: reads jobs (one per line:\n"
      << "  <module.esd> <report.core> [out.exec]\n"
      << ") from the given manifest files, then from stdin unless --once.\n"
-     << "Caches survive across jobs and, with --cache-dir, restarts.\n"
+     << "Verdicts and fingerprint corpora survive across jobs and, with\n"
+     << "--cache-dir, restarts.\n"
      << "\n"
      << "options:\n"
-     << "  --cache-dir DIR    persist caches + verdicts under DIR\n"
+     << "  --cache-dir DIR    persist verdicts + corpora under DIR\n"
      << "  --jobs N           portfolio width per synthesis (default 1)\n"
      << "  --threads N        concurrent synthesis workers (default 1)\n"
      << "  --once             exit after the manifests; do not read stdin\n"
      << "  --out-dir DIR      write <job>.exec files for reproduced bugs\n"
      << "  --no-reuse-results re-run exact duplicate (report, module) jobs\n"
      << "  --time-cap SECONDS per-job search budget (default 30)\n"
-     << "  --solver-cache-mb N  byte budget per module solver cache\n"
-     << "                     (default 64)\n"
      << "  -h, --help         show this help\n";
 }
 
@@ -101,13 +99,6 @@ int main(int argc, char** argv) {
                                &options.synthesis.time_cap_seconds)) {
         return 2;
       }
-    } else if (arg == "--solver-cache-mb" && i + 1 < argc) {
-      size_t mb = 0;
-      if (!tools::ParseUnsigned(arg, argv[++i], &mb, 0,
-                                std::numeric_limits<size_t>::max() >> 20)) {
-        return 2;
-      }
-      options.solver_cache_bytes = mb << 20;
     } else if (!arg.empty() && arg[0] == '-') {
       std::cerr << "error: unknown option or missing argument: '" << arg
                 << "' (try --help)\n";
@@ -122,12 +113,11 @@ int main(int argc, char** argv) {
   sigaction(SIGINT, &sa, nullptr);  // No SA_RESTART: interrupt blocking reads.
 
   serve::Server server(std::move(options));
-  serve::JobQueue queue(threads);
+  serve::JobQueue queue;
   uint64_t next_id = 0;
 
-  // Parses one manifest line into a queued job. Loading the module here
-  // (not in the worker) lets the queue route by module digest for cache
-  // affinity; parse failures are reported immediately and skipped.
+  // Reads one manifest line's files into a queued job; a file that cannot
+  // be read is reported immediately and the job skipped.
   auto submit = [&](const std::string& line, const std::string& origin) {
     std::istringstream ls(line);
     std::string module_path, report_path, out_path;
@@ -152,20 +142,14 @@ int main(int argc, char** argv) {
     }
     job.module_text = std::move(*module_text);
     job.report_text = std::move(*report_text);
-    // Digest of the raw text is enough for routing affinity (jobs with
-    // byte-identical modules co-locate); the server re-digests canonically.
-    uint64_t route = 0xcbf29ce484222325ull;
-    for (unsigned char c : job.module_text) {
-      route = (route ^ c) * 0x100000001b3ull;
-    }
-    queue.Push(std::move(job), route);
+    queue.Push(std::move(job));
   };
 
   std::vector<std::thread> workers;
   workers.reserve(threads);
   for (size_t w = 0; w < threads; ++w) {
-    workers.emplace_back([&, w] {
-      while (auto job = queue.Pop(w)) {
+    workers.emplace_back([&] {
+      while (auto job = queue.Pop()) {
         serve::JobResult r = server.Process(*job);
         if (r.reproduced && !r.exec_text.empty()) {
           std::string out_path = job->out_path;
@@ -231,15 +215,12 @@ int main(int argc, char** argv) {
   server.FlushAll();
 
   serve::Server::Stats stats = server.stats();
-  serve::JobQueue::Stats qstats = queue.stats();
   std::cout << "esdserved: " << stats.jobs << " jobs (" << stats.reproduced
             << " reproduced, " << stats.verdict_cache_hits << " verdict-cache, "
             << stats.incremental << " incremental, " << stats.duplicate_bugs
             << " duplicate-bug), " << stats.solver_shared_hits
-            << " solver cache hits, " << stats.solver_entries_preloaded
-            << " solver entries + " << stats.corpus_preloaded
-            << " corpus fingerprints preloaded, " << qstats.stolen
-            << " jobs stolen\n";
+            << " solver cache hits, " << stats.corpus_preloaded
+            << " corpus fingerprints preloaded\n";
   std::cout << "esdserved: caches flushed\n";
   return 0;
 }

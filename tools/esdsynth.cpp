@@ -6,7 +6,7 @@
 //            [--dedup | --no-dedup] [--no-sleep-sets]
 //            [--no-store-buffer]
 //            [--no-solver-slice] [--no-solver-range]
-//            [--no-solver-incremental] [--no-solver-pipeline]
+//            [--no-solver-incremental]
 //            [--solver-cache-shared | --solver-cache-private] [--counters]
 //            [--no-ir-opt]
 //
@@ -57,8 +57,6 @@ void Usage(std::ostream& os = std::cerr) {
      << "                          discharge of guard constraints (stage 3)\n"
      << "  --no-solver-incremental disable the assumption-based incremental\n"
      << "                          SAT session (stage 4)\n"
-     << "  --no-solver-pipeline    disable all of the above and the\n"
-     << "                          shared solver cache\n"
      << "  --no-ir-opt             search the original module instead of a\n"
      << "                          pre-optimized copy (branch elision, then\n"
      << "                          dead-arithmetic neutralization; default\n"
@@ -129,11 +127,6 @@ int main(int argc, char** argv) {
       options.solver_range = false;
     } else if (arg == "--no-solver-incremental") {
       options.solver_incremental = false;
-    } else if (arg == "--no-solver-pipeline") {
-      options.solver_slice = false;
-      options.solver_range = false;
-      options.solver_incremental = false;
-      options.solver_cache_shared = false;
     } else if (arg == "--no-ir-opt") {
       options.ir_opt = false;
     } else if (arg == "--solver-cache-shared") {
