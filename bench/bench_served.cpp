@@ -3,9 +3,9 @@
 // "restarted" (a fresh Server over the same directory, verdict reuse off so
 // every job really searches) and the corpus is submitted again. The second
 // pass, called "warm", must agree with the cold pass on every verdict and
-// fingerprint, and the fingerprint corpus it read back from disk must flag
-// every reproduced job as a known duplicate. Its searches reuse nothing
-// else: the service persists no solver answers or distance tables.
+// fingerprint, and the triage fingerprints it read back from results.index
+// must flag every reproduced job as a known duplicate. Its searches reuse
+// nothing else: the service persists only that journal.
 //
 // Emits BENCH_served.json with two perf-trajectory records, `served-cold`
 // and `served-warm`, whose states_per_sec field carries jobs/second (the
@@ -64,7 +64,7 @@ PassOutcome RunPass(const std::string& cache_dir, bool reuse_results,
       std::chrono::duration<double>(std::chrono::steady_clock::now() - start)
           .count();
   outcome.stats = server.stats();
-  return outcome;  // ~Server flushes the caches to cache_dir.
+  return outcome;  // Every record is already in cache_dir/results.index.
 }
 
 }  // namespace
@@ -149,7 +149,7 @@ int main() {
   row("warm", warm);
 
   // Correctness gates: same verdicts, same executions, and the warm pass
-  // must recognize every bug from the persisted corpus.
+  // must recognize every bug from the persisted journal.
   bool ok = true;
   if (warm.reproduced != cold.reproduced ||
       warm.fingerprints != cold.fingerprints) {
@@ -158,7 +158,7 @@ int main() {
   }
   if (warm.stats.duplicate_bugs != warm.reproduced) {
     std::fprintf(stderr,
-                 "FAIL: persisted corpus missed a known fingerprint "
+                 "FAIL: persisted journal missed a known fingerprint "
                  "(%llu duplicates, %llu reproduced)\n",
                  static_cast<unsigned long long>(warm.stats.duplicate_bugs),
                  static_cast<unsigned long long>(warm.reproduced));

@@ -5,7 +5,7 @@
 namespace esd {
 
 namespace internal {
-thread_local EventCounters* g_event_counters = nullptr;
+constinit thread_local EventCounters* g_event_counters = nullptr;
 }  // namespace internal
 
 void EventCounters::Add(const EventCounters& other) {

@@ -1,6 +1,5 @@
 #include "src/core/portfolio.h"
 
-#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <memory>
@@ -8,7 +7,6 @@
 #include <vector>
 
 #include "src/core/search_setup.h"
-#include "src/core/seed_schedule.h"
 #include "src/replay/execution_file.h"
 #include "src/solver/query_cache.h"
 #include "src/vm/engine.h"
@@ -26,7 +24,6 @@ struct WorkerOutcome {
   vm::BugInfo bug;
   std::vector<std::string> other_bugs;
   solver::ConstraintSolver::Stats solver_stats;
-  uint64_t seed_best_prefix = 0;
 };
 
 // The initial state every worker's root is forked from at jobs > 1. The
@@ -128,17 +125,6 @@ void RunPortfolio(const ir::Module* module, const Goal& goal,
 
     std::unique_ptr<vm::Searcher> searcher = MakeWorkerSearcher(
         w, options, distances, search_goals, &out.report.strategy);
-    // Incremental re-synthesis: every worker biases toward the prior
-    // execution's schedule (see seed_schedule.h); frontier partitioning
-    // still diversifies what each one explores beyond the seed.
-    SeedScheduleSearcher* seed_searcher = nullptr;
-    if (options.seed_schedule != nullptr &&
-        !options.seed_schedule->strict.empty()) {
-      auto wrapped = std::make_unique<SeedScheduleSearcher>(
-          std::move(searcher), options.seed_schedule);
-      seed_searcher = wrapped.get();
-      searcher = std::move(wrapped);
-    }
 
     vm::Engine::Options eopts;
     eopts.time_cap_seconds = options.time_cap_seconds;
@@ -217,9 +203,6 @@ void RunPortfolio(const ir::Module* module, const Goal& goal,
     out.report.solver_shared_hits = solver.stats().shared_hits;
     out.report.sat_conflicts = solver.stats().sat_conflicts;
     out.solver_stats = solver.stats();
-    if (seed_searcher != nullptr) {
-      out.seed_best_prefix = seed_searcher->best_prefix();
-    }
   };
 
   std::vector<std::thread> helpers;
@@ -259,15 +242,10 @@ void RunPortfolio(const ir::Module* module, const Goal& goal,
       result->other_bugs.push_back(std::move(bug));
     }
     any_limit |= out.status == vm::Engine::Result::Status::kLimitReached;
-    result->seed_best_prefix = std::max(result->seed_best_prefix, out.seed_best_prefix);
     if (parallel) {
       result->workers.push_back(std::move(out.report));
     }
   }
-  if (options.seed_schedule != nullptr) {
-    result->seed_switches = options.seed_schedule->strict.size();
-  }
-
   int win = winner.load();
   if (win < 0) {
     result->stop = any_limit ? SynthesisResult::Stop::kBudget

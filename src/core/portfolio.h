@@ -3,7 +3,8 @@
 // §6 credits copy-on-write state sharing for ESD's scalability; this module
 // turns that into wall-clock speedup on multicore hardware. Each of the
 // `jobs` workers runs a private Engine + Interpreter + ConstraintSolver +
-// searcher, all built by one worker function; the calling thread runs
+// searcher (the ProximitySearcher, or BFS without proximity; search_setup.h),
+// all built by one worker function; the calling thread runs
 // worker 0 and jobs > 1 adds jobs - 1 helper threads. The workers drain one
 // logical frontier (vm::SharedFrontier, src/vm/work_queue.h): forks are
 // routed to a home worker by fingerprint, idle workers steal, and the run
@@ -45,8 +46,8 @@ namespace esd::core {
 // across workers), the event counters (added to what `*result` holds), and
 // for jobs > 1 `workers` and `winning_worker`. `distances` must already be
 // constructed for `module`; jobs > 1 prewarms it for `search_goals`. The
-// set-up fields of `*result` (pass stats, intermediate goals, restored
-// tables) are left as the caller filled them.
+// set-up fields of `*result` (pass stats, intermediate goals) are left as
+// the caller filled them.
 void RunPortfolio(const ir::Module* module, const Goal& goal,
                   analysis::DistanceCalculator* distances,
                   const std::vector<ProximitySearcher::SearchGoal>& search_goals,

@@ -8,9 +8,10 @@
 //
 // Every search builds its own distance tables over the module it searches
 // (lazily at jobs == 1, prewarmed at jobs > 1; portfolio.h) and its own
-// solver caches. Nothing outside the search reads or seeds them; the
-// service reuses only prior executions (the hook at the end of
-// SynthesisOptions).
+// solver caches, and starts from the module and the report alone: nothing
+// outside the search reads, seeds or biases it. The service (src/serve)
+// runs this same search for every job it does not answer from a stored
+// verdict.
 //
 // The options toggles exist for the ablation study (bench_ablation): each
 // disables one of the three §3.3 focusing techniques.
@@ -84,14 +85,6 @@ struct SynthesisOptions {
   // and search on the optimized copy. Emitted execution files stay valid
   // against the original module (coordinate stability). --no-ir-opt.
   bool ir_opt = true;
-  // ---- Synthesis-service hook (src/serve, the esdserved daemon) ----
-  // Incremental re-synthesis: a previously synthesized execution file for
-  // this bug (possibly against a pre-patch module). The search seeds from
-  // its schedule — states whose switch history matches the longest prefix
-  // of the seed's thread sequence are selected first (seed_schedule.h);
-  // deviating states fall back to the configured strategy, so a stale seed
-  // degrades to a cold search instead of misleading it.
-  const replay::ExecutionFile* seed_schedule = nullptr;
 };
 
 // Per-worker accounting for a parallel run (`jobs` > 1).
@@ -170,12 +163,6 @@ struct SynthesisResult {
   // Per-worker accounting (empty / -1 for jobs == 1).
   std::vector<WorkerReport> workers;
   int winning_worker = -1;
-
-  // Incremental re-synthesis accounting (seed_schedule runs only): switch
-  // points in the seed schedule, and the longest prefix of it any live
-  // state replayed.
-  uint64_t seed_switches = 0;
-  uint64_t seed_best_prefix = 0;
 };
 
 class Synthesizer {

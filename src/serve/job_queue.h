@@ -3,7 +3,7 @@
 // One FIFO under one mutex: every worker takes the oldest job. No job
 // prefers a worker, because nothing a worker keeps between jobs makes a
 // search faster: each search builds its own distance tables and solver
-// caches, and the per-module fingerprint corpus is shared by all workers.
+// caches, and every worker reads and writes the Server's one store.
 #ifndef ESD_SRC_SERVE_JOB_QUEUE_H_
 #define ESD_SRC_SERVE_JOB_QUEUE_H_
 

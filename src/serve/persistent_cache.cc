@@ -10,6 +10,7 @@
 #include <cstring>
 #include <filesystem>
 #include <fstream>
+#include <optional>
 #include <sstream>
 
 namespace esd::serve {
@@ -148,6 +149,10 @@ uint64_t TextDigest(std::string_view text) {
 }
 
 CacheStore::CacheStore(const std::string& dir) : dir_(dir) {
+  if (dir_.empty()) {
+    ok_ = true;  // Memory-only: no file, no journal descriptor.
+    return;
+  }
   std::error_code ec;
   fs::create_directories(dir_, ec);
   if (ec || !fs::is_directory(dir_, ec)) {
@@ -165,10 +170,6 @@ CacheStore::~CacheStore() {
   }
 }
 
-std::string CacheStore::CorpusPath(uint64_t digest) const {
-  return dir_ + "/" + Hex16(digest) + ".fps.esdc";
-}
-
 void CacheStore::Quarantine(const std::string& path, const std::string& why) {
   std::error_code ec;
   fs::rename(path, path + ".quarantined", ec);
@@ -178,38 +179,7 @@ void CacheStore::Quarantine(const std::string& path, const std::string& why) {
   load_errors_.push_back(path + ": " + why + " — quarantined, will regenerate");
 }
 
-std::optional<std::string> CacheStore::ReadOrQuarantine(const std::string& path,
-                                                        bool* present) {
-  std::error_code ec;
-  *present = fs::exists(path, ec);
-  if (!*present) {
-    return std::nullopt;
-  }
-  auto text = ReadWholeFile(path);
-  if (!text.has_value()) {
-    Quarantine(path, "unreadable");
-  }
-  return text;
-}
-
-std::optional<FingerprintImage> CacheStore::LoadFingerprintCorpus(
-    uint64_t module_digest) {
-  if (!ok_) return std::nullopt;
-  const std::string path = CorpusPath(module_digest);
-  bool present = false;
-  auto text = ReadOrQuarantine(path, &present);
-  if (!text.has_value()) return std::nullopt;
-  std::string error;
-  auto image = ParseFingerprintCorpus(*text, module_digest, &error);
-  if (!image.has_value()) {
-    Quarantine(path, error);
-    return std::nullopt;
-  }
-  return image;
-}
-
 bool CacheStore::AtomicWrite(const std::string& path, const std::string& text) {
-  if (!ok_) return false;
   const std::string tmp = path + ".tmp";
   {
     std::ofstream out(tmp, std::ios::binary | std::ios::trunc);
@@ -231,22 +201,22 @@ bool CacheStore::AtomicWrite(const std::string& path, const std::string& text) {
   return true;
 }
 
-bool CacheStore::StoreFingerprintCorpus(const FingerprintImage& image) {
-  return AtomicWrite(CorpusPath(image.module_digest),
-                     FingerprintCorpusToText(image));
-}
-
 bool CacheStore::LoadResults() {
   const std::string path = dir_ + kJournalName;
-  bool present = false;
-  auto text = ReadOrQuarantine(path, &present);
-  if (!text.has_value() || text->empty()) return false;
+  std::error_code ec;
+  if (!fs::exists(path, ec)) return false;
+  const std::optional<std::string> text = ReadWholeFile(path);
+  if (!text.has_value()) {
+    Quarantine(path, "unreadable");
+    return false;
+  }
+  if (text->empty()) return false;
   const std::string_view journal = *text;
   if (journal.substr(0, kJournalMagic.size()) != kJournalMagic) {
     Quarantine(path, "first line is not 'esdcache results v1'");
     return false;
   }
-  std::map<uint64_t, ResultRecord> parsed;
+  std::map<std::pair<uint64_t, uint64_t>, ResultRecord> parsed;
   bool compact = false;
   size_t pos = kJournalMagic.size();
   for (size_t index = 1; pos < journal.size(); ++index) {
@@ -268,10 +238,13 @@ bool CacheStore::LoadResults() {
       compact = true;
       break;
     }
-    const uint64_t digest = rec.report_digest;
-    compact = !parsed.insert_or_assign(digest, std::move(rec)).second || compact;
+    const std::pair key{rec.report_digest, rec.module_digest};
+    compact = !parsed.insert_or_assign(key, std::move(rec)).second || compact;
   }
   results_ = std::move(parsed);
+  for (const auto& [key, rec] : results_) {
+    if (rec.reproduced) known_bugs_.emplace(rec.module_digest, rec.fingerprint);
+  }
   return compact;
 }
 
@@ -279,7 +252,7 @@ void CacheStore::OpenJournal(bool compact) {
   const std::string path = dir_ + kJournalName;
   if (compact) {
     std::string text(kJournalMagic);
-    for (const auto& [digest, rec] : results_) {
+    for (const auto& [key, rec] : results_) {
       text += RecordText(rec);
     }
     if (!AtomicWrite(path, text)) {
@@ -304,10 +277,16 @@ void CacheStore::OpenJournal(bool compact) {
 }
 
 bool CacheStore::StoreResult(ResultRecord record) {
-  if (!ok_) return false;
-  std::string text = RecordText(record);
-  if (journal_bytes_ == 0) text.insert(0, kJournalMagic);
-  results_[record.report_digest] = std::move(record);
+  std::string text;
+  if (journal_fd_ >= 0) {
+    text = RecordText(record);
+    if (journal_bytes_ == 0) text.insert(0, kJournalMagic);
+  }
+  if (record.reproduced) {
+    known_bugs_.emplace(record.module_digest, record.fingerprint);
+  }
+  const std::pair key{record.report_digest, record.module_digest};
+  results_[key] = std::move(record);
   if (journal_fd_ < 0) return false;
   if (WriteAll(journal_fd_, text)) {
     journal_bytes_ += text.size();
@@ -322,9 +301,15 @@ bool CacheStore::StoreResult(ResultRecord record) {
   return false;
 }
 
-const ResultRecord* CacheStore::FindResult(uint64_t report_digest) const {
-  auto it = results_.find(report_digest);
+const ResultRecord* CacheStore::FindResult(uint64_t report_digest,
+                                           uint64_t module_digest) const {
+  auto it = results_.find({report_digest, module_digest});
   return it == results_.end() ? nullptr : &it->second;
+}
+
+bool CacheStore::KnownBug(uint64_t module_digest,
+                          const std::string& fingerprint) const {
+  return known_bugs_.contains({module_digest, fingerprint});
 }
 
 }  // namespace esd::serve

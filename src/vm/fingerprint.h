@@ -13,15 +13,16 @@
 // node allocation — the only allocation is the amortized table doubling.
 // A shard starts at 64 slots on its first insert (see kInitialSlots).
 //
-// The table is sharded by fingerprint so a parallel portfolio can share one
-// instance: each shard has its own mutex, and InsertIfAbsent touches exactly
-// one shard. With `jobs == 1` (or per-worker tables) the mutexes are
-// uncontended. bench_pruning measures the shared-table and per-worker-table
-// configurations against each other.
+// The table is sharded by fingerprint so the workers of a parallel search
+// can share one instance: each shard has its own mutex, and InsertIfAbsent
+// touches exactly one shard. With `jobs == 1` the mutexes are uncontended.
+//
+// A table lives as long as one search and is never persisted or seeded:
+// visited states carried into another search would unsoundly prune states
+// that search has never explored.
 #ifndef ESD_SRC_VM_FINGERPRINT_H_
 #define ESD_SRC_VM_FINGERPRINT_H_
 
-#include <algorithm>
 #include <cstdint>
 #include <mutex>
 #include <utility>
@@ -64,36 +65,6 @@ class FingerprintTable {
       n += shard.used + (shard.has_zero ? 1 : 0);
     }
     return n;
-  }
-
-  // Exports every recorded fingerprint, sorted (deterministic across shard
-  // counts and insertion orders: serialize -> Preload -> Snapshot is
-  // byte-stable). Used by the synthesis service to persist the cross-run
-  // bug-triage corpus of execution-file fingerprints — NOT to carry
-  // visited-state sets across jobs, which would unsoundly prune states the
-  // new job has never explored.
-  std::vector<uint64_t> Snapshot() const {
-    std::vector<uint64_t> fps;
-    for (const Shard& shard : shards_) {
-      std::lock_guard<std::mutex> lock(shard.mu);
-      if (shard.has_zero) {
-        fps.push_back(0);
-      }
-      for (uint64_t fp : shard.slots) {
-        if (fp != 0) {
-          fps.push_back(fp);
-        }
-      }
-    }
-    std::sort(fps.begin(), fps.end());
-    return fps;
-  }
-
-  // Seeds the table from a parsed snapshot (duplicates are absorbed).
-  void Preload(const std::vector<uint64_t>& fps) {
-    for (uint64_t fp : fps) {
-      (void)InsertIfAbsent(fp);
-    }
   }
 
  private:

@@ -1,15 +1,11 @@
-// The persisted-cache contract of the synthesis service: for the
-// fingerprint-corpus format, serialize -> parse -> serialize must be
-// byte-identical, and every corruption class — truncation, trailing
-// garbage, a version bump, a module-digest mismatch, an unknown directive,
-// a wrong count — must fail the strict parse with a one-line error. The
-// CacheStore must quarantine such a file and keep serving. The results
-// journal must survive reopening, drop only a torn final record, let a
-// later record for a report win, and load nothing but stored records from
-// any mutant of itself.
+// The results journal's contract: it survives reopening, drops only a torn
+// final record, lets a later record for the same (report, module) pair win
+// while records for other modules of the report stay live, quarantines the
+// index format of earlier versions, and loads nothing but stored records
+// from any mutant of itself. The duplicate-bug triage set is rebuilt from
+// the journal, and a store without a directory keeps everything in memory.
 #include <gtest/gtest.h>
 
-#include <cstdio>
 #include <filesystem>
 #include <fstream>
 #include <random>
@@ -17,149 +13,10 @@
 #include <string>
 #include <vector>
 
-#include "src/serve/cache_io.h"
 #include "src/serve/persistent_cache.h"
 
 namespace esd::serve {
 namespace {
-
-// A corpus image with enough records that cutting it at a quarter, a half
-// or just before the trailer lands in different records.
-FingerprintImage MakeCorpusImage() {
-  FingerprintImage image;
-  image.module_digest = 0xdeadbeefcafef00dull;
-  image.fingerprints = {0x1ull, 0x2222ull, 0xabcdull, 0x123456789ull,
-                        0xfedcba9876543210ull, 0xffffffffffffffffull};
-  return image;
-}
-
-TEST(ServeCacheIoTest, FingerprintCorpusRoundTripsByteIdentical) {
-  FingerprintImage image;
-  image.module_digest = 0x1234;
-  image.fingerprints = {0x1ull, 0xabcdull, 0xffffffffffffffffull};
-  std::string text = FingerprintCorpusToText(image);
-  std::string error;
-  auto parsed = ParseFingerprintCorpus(text, image.module_digest, &error);
-  ASSERT_TRUE(parsed.has_value()) << error;
-  EXPECT_EQ(FingerprintCorpusToText(*parsed), text);
-  EXPECT_EQ(parsed->fingerprints, image.fingerprints);
-}
-
-// Every corruption class rejects with a one-line error naming the problem.
-TEST(ServeCacheIoTest, CorruptionClassesRejected) {
-  FingerprintImage image = MakeCorpusImage();
-  std::string good = FingerprintCorpusToText(image);
-  std::string error;
-
-  // Truncation: cutting the file anywhere before the trailer fails (either
-  // a torn record or a missing/mismatched end count).
-  for (size_t cut : {good.size() - 2, good.size() / 2, good.size() / 4}) {
-    error.clear();
-    EXPECT_FALSE(ParseFingerprintCorpus(good.substr(0, cut),
-                                        image.module_digest, &error)
-                     .has_value())
-        << "cut at " << cut;
-    EXPECT_FALSE(error.empty());
-  }
-
-  // Trailing garbage after the end trailer — even a blank line.
-  error.clear();
-  EXPECT_FALSE(ParseFingerprintCorpus(good + "extra\n", image.module_digest,
-                                      &error)
-                   .has_value());
-  EXPECT_NE(error.find("trailing garbage"), std::string::npos) << error;
-  EXPECT_FALSE(
-      ParseFingerprintCorpus(good + "\n", image.module_digest, &error)
-          .has_value());
-
-  // Version bump: a v2 writer's file is rejected by the v1 parser.
-  std::string bumped = good;
-  bumped.replace(bumped.find(" v1\n"), 4, " v2\n");
-  error.clear();
-  EXPECT_FALSE(
-      ParseFingerprintCorpus(bumped, image.module_digest, &error).has_value());
-  EXPECT_NE(error.find("version"), std::string::npos) << error;
-
-  // Digest mismatch: the file is internally valid but for another module.
-  error.clear();
-  EXPECT_FALSE(ParseFingerprintCorpus(good, image.module_digest + 1, &error)
-                   .has_value());
-  EXPECT_NE(error.find("digest mismatch"), std::string::npos) << error;
-  // kAnyDigest accepts it.
-  EXPECT_TRUE(ParseFingerprintCorpus(good, kAnyDigest, &error).has_value());
-
-  // Unknown directive and a wrong end count.
-  error.clear();
-  EXPECT_FALSE(ParseFingerprintCorpus(
-                   "esdcache fps v1\nmodule 1\nfrobnicate\nend 0\n", 1, &error)
-                   .has_value());
-  EXPECT_NE(error.find("unknown directive"), std::string::npos) << error;
-  EXPECT_FALSE(ParseFingerprintCorpus(
-                   "esdcache fps v1\nmodule 1\nfp 1\nend 5\n", 1, &error)
-                   .has_value());
-  EXPECT_NE(error.find("end count"), std::string::npos) << error;
-
-  // Spot checks on a second image.
-  FingerprintImage fps;
-  fps.module_digest = 9;
-  fps.fingerprints = {1, 2, 3};
-  std::string fptext = FingerprintCorpusToText(fps);
-  EXPECT_FALSE(
-      ParseFingerprintCorpus(fptext + "junk\n", 9, &error).has_value());
-  EXPECT_FALSE(ParseFingerprintCorpus(fptext, 10, &error).has_value());
-  // Out-of-order fp records (hand-edited file) are rejected too: canonical
-  // order is part of the format.
-  EXPECT_FALSE(ParseFingerprintCorpus(
-                   "esdcache fps v1\nmodule 9\nfp 2\nfp 1\nend 2\n", 9, &error)
-                   .has_value());
-  EXPECT_NE(error.find("out of order"), std::string::npos) << error;
-}
-
-// The store-level contract: a corrupted cache file is quarantined (moved
-// aside, never trusted, never deleted silently) and the store keeps
-// working — the daemon regenerates the cache on the next flush.
-TEST(ServeCacheStoreTest, CorruptedFileIsQuarantinedAndRegenerated) {
-  std::string dir = ::testing::TempDir() + "/esd_serve_cache_test";
-  std::filesystem::remove_all(dir);
-  CacheStore store(dir);
-  ASSERT_TRUE(store.ok()) << store.error();
-
-  FingerprintImage image = MakeCorpusImage();
-  ASSERT_TRUE(store.StoreFingerprintCorpus(image));
-  ASSERT_TRUE(store.LoadFingerprintCorpus(image.module_digest).has_value());
-
-  // Corrupt the file in place (torn write: half the bytes).
-  std::string path = dir + "/" +
-                     [&] {
-                       char buf[32];
-                       std::snprintf(buf, sizeof(buf), "%016llx",
-                                     static_cast<unsigned long long>(
-                                         image.module_digest));
-                       return std::string(buf);
-                     }() +
-                     ".fps.esdc";
-  ASSERT_TRUE(std::filesystem::exists(path));
-  std::string good = FingerprintCorpusToText(image);
-  {
-    std::ofstream out(path, std::ios::trunc);
-    out << good.substr(0, good.size() / 2);
-  }
-
-  // The load fails softly: nullopt, file moved to .quarantined, one error.
-  EXPECT_FALSE(store.LoadFingerprintCorpus(image.module_digest).has_value());
-  EXPECT_FALSE(std::filesystem::exists(path));
-  EXPECT_TRUE(std::filesystem::exists(path + ".quarantined"));
-  ASSERT_EQ(store.load_errors().size(), 1u);
-  EXPECT_NE(store.load_errors()[0].find("quarantined"), std::string::npos);
-
-  // The store still accepts a regenerated cache afterwards.
-  ASSERT_TRUE(store.StoreFingerprintCorpus(image));
-  auto reloaded = store.LoadFingerprintCorpus(image.module_digest);
-  ASSERT_TRUE(reloaded.has_value());
-  EXPECT_EQ(FingerprintCorpusToText(*reloaded), good);
-}
-
-// ---- Results journal --------------------------------------------------------
 
 std::string FreshDir(const std::string& name) {
   std::string dir = ::testing::TempDir() + "/" + name;
@@ -233,12 +90,12 @@ TEST(ServeCacheStoreTest, ResultsIndexSurvivesReopen) {
   ASSERT_TRUE(reopened.ok());
   EXPECT_TRUE(reopened.load_errors().empty());
   EXPECT_EQ(reopened.result_count(), 2u);
-  const ResultRecord* rec = reopened.FindResult(0xaaaa);
+  const ResultRecord* rec = reopened.FindResult(0xaaaa, 0xbbbb);
   ASSERT_NE(rec, nullptr);
   EXPECT_TRUE(rec->reproduced);
   EXPECT_EQ(rec->fingerprint, "0123456789abcdef");
   EXPECT_EQ(rec->exec_text, "execution v1\nbug deadlock\n");
-  const ResultRecord* failed = reopened.FindResult(0xcccc);
+  const ResultRecord* failed = reopened.FindResult(0xcccc, 0xbbbb);
   ASSERT_NE(failed, nullptr);
   EXPECT_FALSE(failed->reproduced);
   EXPECT_TRUE(failed->exec_text.empty());
@@ -274,8 +131,8 @@ TEST(ServeCacheStoreTest, TornFinalRecordIsDroppedAndCompacted) {
     {
       CacheStore store(dir);
       ASSERT_EQ(store.result_count(), 2u);
-      EXPECT_TRUE(SameRecord(*store.FindResult(0x11), records[0]));
-      EXPECT_TRUE(SameRecord(*store.FindResult(0x22), records[1]));
+      EXPECT_TRUE(SameRecord(*store.FindResult(0x11, 0xaa), records[0]));
+      EXPECT_TRUE(SameRecord(*store.FindResult(0x22, 0xaa), records[1]));
       ASSERT_EQ(store.load_errors().size(), 1u);
       EXPECT_NE(store.load_errors()[0].find("torn"), std::string::npos)
           << store.load_errors()[0];
@@ -289,37 +146,86 @@ TEST(ServeCacheStoreTest, TornFinalRecordIsDroppedAndCompacted) {
   }
 }
 
-// A later record for the same report replaces the earlier one, and the
-// reopened store compacts the journal to exactly what a fresh store holding
-// only the live records would have written.
-TEST(ServeCacheStoreTest, LaterRecordForSameReportWins) {
+// Records are keyed by (report, module): two modules of one report are
+// both live, and a later record replaces an earlier one only for the same
+// pair. The reopened store compacts the journal to exactly what a fresh
+// store holding only the live records, stored in (report, module) order,
+// would have written.
+TEST(ServeCacheStoreTest, LaterRecordForSamePairWins) {
   const std::string dir = FreshDir("esd_serve_supersede_test");
   const std::string fresh_dir = FreshDir("esd_serve_supersede_fresh_test");
+  const ResultRecord second_module =
+      MakeRecord(0x20, 0x2, "execution v1\nbug b\n");
   const ResultRecord stale = MakeRecord(0x20, 0x1, "execution v1\nbug a\n");
-  const ResultRecord other = MakeRecord(0x10, 0x1, "");
-  const ResultRecord live = MakeRecord(0x20, 0x2, "execution v1\nbug b\n");
+  const ResultRecord other = MakeRecord(0x10, 0x3, "");
+  const ResultRecord live = MakeRecord(0x20, 0x1, "execution v1\nbug c\n");
   {
     CacheStore store(dir);
+    ASSERT_TRUE(store.StoreResult(second_module));
     ASSERT_TRUE(store.StoreResult(stale));
     ASSERT_TRUE(store.StoreResult(other));
+    EXPECT_EQ(store.result_count(), 3u);
+    EXPECT_TRUE(SameRecord(*store.FindResult(0x20, 0x1), stale));
+    EXPECT_TRUE(SameRecord(*store.FindResult(0x20, 0x2), second_module));
     ASSERT_TRUE(store.StoreResult(live));
-    EXPECT_EQ(store.result_count(), 2u);
-    EXPECT_TRUE(SameRecord(*store.FindResult(0x20), live));
+    EXPECT_EQ(store.result_count(), 3u);
+    EXPECT_TRUE(SameRecord(*store.FindResult(0x20, 0x1), live));
+    EXPECT_TRUE(SameRecord(*store.FindResult(0x20, 0x2), second_module));
+    EXPECT_EQ(store.FindResult(0x20, 0x3), nullptr);
   }
   {
     CacheStore reopened(dir);
     EXPECT_TRUE(reopened.load_errors().empty());
-    EXPECT_EQ(reopened.result_count(), 2u);
-    EXPECT_TRUE(SameRecord(*reopened.FindResult(0x20), live));
-    EXPECT_TRUE(SameRecord(*reopened.FindResult(0x10), other));
+    EXPECT_EQ(reopened.result_count(), 3u);
+    EXPECT_TRUE(SameRecord(*reopened.FindResult(0x20, 0x1), live));
+    EXPECT_TRUE(SameRecord(*reopened.FindResult(0x20, 0x2), second_module));
+    EXPECT_TRUE(SameRecord(*reopened.FindResult(0x10, 0x3), other));
   }
   {
     CacheStore fresh(fresh_dir);
-    ASSERT_TRUE(fresh.StoreResult(other));  // Report digest order.
+    ASSERT_TRUE(fresh.StoreResult(other));  // (report, module) order.
     ASSERT_TRUE(fresh.StoreResult(live));
+    ASSERT_TRUE(fresh.StoreResult(second_module));
   }
   EXPECT_EQ(ReadFile(dir + "/results.index"),
             ReadFile(fresh_dir + "/results.index"));
+}
+
+// The duplicate-bug triage set holds the (module, fingerprint) pair of
+// every reproduced record, and a reopened store rebuilds it from the
+// journal alone.
+TEST(ServeCacheStoreTest, TriageSetIsRebuiltFromTheJournal) {
+  const std::string dir = FreshDir("esd_serve_triage_test");
+  const std::vector<ResultRecord> records = ThreeRecords();
+  {
+    CacheStore store(dir);
+    EXPECT_EQ(store.known_bug_count(), 0u);
+    for (const ResultRecord& rec : records) {
+      ASSERT_TRUE(store.StoreResult(rec));
+    }
+    EXPECT_EQ(store.known_bug_count(), 2u);
+  }
+  CacheStore reopened(dir);
+  EXPECT_EQ(reopened.known_bug_count(), 2u);
+  EXPECT_TRUE(reopened.KnownBug(0xaa, "0123456789abcdef"));
+  EXPECT_TRUE(reopened.KnownBug(0xbb, "0123456789abcdef"));
+  EXPECT_FALSE(reopened.KnownBug(0xcc, "0123456789abcdef"));
+  EXPECT_FALSE(reopened.KnownBug(0xaa, "fedcba9876543210"));
+}
+
+// An empty directory makes a memory-only store: it answers from what it
+// was given, reports no error, and writes no file.
+TEST(ServeCacheStoreTest, EmptyDirectoryIsMemoryOnly) {
+  const ResultRecord rec = ThreeRecords()[0];
+  CacheStore store("");
+  ASSERT_TRUE(store.ok()) << store.error();
+  EXPECT_FALSE(store.StoreResult(rec));  // Nothing to append to.
+  ASSERT_NE(store.FindResult(rec.report_digest, rec.module_digest), nullptr);
+  EXPECT_TRUE(SameRecord(
+      *store.FindResult(rec.report_digest, rec.module_digest), rec));
+  EXPECT_TRUE(store.KnownBug(rec.module_digest, rec.fingerprint));
+  EXPECT_TRUE(store.load_errors().empty());
+  EXPECT_FALSE(std::filesystem::exists("results.index"));
 }
 
 // The one-line-per-result index of earlier versions is not a journal: it is
@@ -345,7 +251,8 @@ TEST(ServeCacheStoreTest, OldFormatIndexIsQuarantined) {
   CacheStore reopened(dir);
   EXPECT_TRUE(reopened.load_errors().empty());
   ASSERT_EQ(reopened.result_count(), 1u);
-  EXPECT_TRUE(SameRecord(*reopened.FindResult(rec.report_digest), rec));
+  EXPECT_TRUE(SameRecord(
+      *reopened.FindResult(rec.report_digest, rec.module_digest), rec));
 }
 
 // Seeded mutants of a three-record journal: byte flips, truncations, and
@@ -407,7 +314,8 @@ TEST(ServeCacheStoreTest, JournalMutantsLoadOnlyStoredRecords) {
     }
     size_t found = 0;
     for (const ResultRecord& rec : records) {
-      if (const ResultRecord* loaded = store.FindResult(rec.report_digest)) {
+      if (const ResultRecord* loaded =
+              store.FindResult(rec.report_digest, rec.module_digest)) {
         EXPECT_TRUE(SameRecord(*loaded, rec));
         ++found;
       }

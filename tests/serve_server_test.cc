@@ -1,15 +1,16 @@
 // The synthesis service end-to-end, in-process: the job queue's FIFO and
 // drain behavior, and the Server's reuse ladder — cold search,
-// stored-verdict short-circuit that loads no per-module corpus, a real
-// search after a "restart" that flags the bug as a known duplicate and
-// never reads a distance-table or solver-cache file an earlier version
-// left behind, incremental re-synthesis of a patched module seeded by the
-// prior execution, a module's corpus counted once when concurrent jobs load
-// it, survival of a corrupted corpus file mid-service, a corrupted stored
-// execution that must not be served, and a verdict that survives a hard
+// stored-verdict short-circuit, a real search after a "restart" that flags
+// the bug as a known duplicate from the journal alone and never reads a
+// cache file an earlier version left behind, a patched module searched cold
+// exactly as a one-shot synthesis, programs sharing a report text kept
+// apart, an in-memory server answering repeats, a module's triage pairs
+// counted once under concurrent jobs, a corrupted stored execution that
+// must not be served, and a verdict and its triage that survive a hard
 // kill.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <cstdio>
 #include <filesystem>
@@ -28,6 +29,7 @@
 #include "src/report/coredump.h"
 #include "src/serve/job_queue.h"
 #include "src/serve/server.h"
+#include "src/workloads/workloads.h"
 
 namespace esd::serve {
 namespace {
@@ -136,6 +138,23 @@ std::vector<std::filesystem::path> FilesEndingIn(const std::string& dir,
   return found;
 }
 
+// The execution text a one-shot synthesis (esdsynth with the same options)
+// gives for `job`.
+std::string OneShotExecText(const Job& job, const ServerOptions& options) {
+  std::string error;
+  std::shared_ptr<ir::Module> module =
+      workloads::ParseProgram(job.module_text, &error);
+  EXPECT_NE(module, nullptr) << error;
+  if (module == nullptr) return "";
+  auto dump = report::ParseCoreDump(*module, job.report_text, &error);
+  EXPECT_TRUE(dump.has_value()) << error;
+  if (!dump.has_value()) return "";
+  core::SynthesisResult result =
+      core::Synthesizer(module.get(), options.synthesis).Synthesize(*dump);
+  EXPECT_TRUE(result.success) << result.failure_reason;
+  return result.success ? replay::ExecutionFileToText(result.file) : "";
+}
+
 TEST(ServeServerTest, ReuseLadderAcrossRestarts) {
   std::string dir = ::testing::TempDir() + "/esd_serve_server_test";
   std::filesystem::remove_all(dir);
@@ -164,14 +183,16 @@ TEST(ServeServerTest, ReuseLadderAcrossRestarts) {
     EXPECT_TRUE(cached.reproduced);
     EXPECT_EQ(cached.fingerprint, fingerprint);
     EXPECT_EQ(server.stats().verdict_cache_hits, 1u);
-    // ~Server flushes the module's corpus to disk.
   }
-  // Neither distance tables nor solver answers are persisted.
-  EXPECT_TRUE(FilesEndingIn(dir, ".dist.esdc").empty());
-  EXPECT_TRUE(FilesEndingIn(dir, ".solver.esdc").empty());
+  // The journal is the only file: no distance tables, solver answers or
+  // fingerprint corpora are persisted.
+  EXPECT_TRUE(FilesEndingIn(dir, ".esdc").empty());
+  EXPECT_EQ(FilesEndingIn(dir, ""),
+            std::vector<std::filesystem::path>{
+                std::filesystem::path(dir) / "results.index"});
 
   // Rung 3: a restarted daemon answers from the persisted results index,
-  // without loading the module's corpus.
+  // and its triage set holds the one reproduced record read at start.
   {
     Server server(BaseOptions(dir));
     JobResult cached = server.Process(job);
@@ -180,16 +201,17 @@ TEST(ServeServerTest, ReuseLadderAcrossRestarts) {
     EXPECT_EQ(cached.fingerprint, fingerprint);
     EXPECT_TRUE(server.TakeLoadErrors().empty());
     EXPECT_EQ(server.stats().solver_entries_preloaded, 0u);
-    EXPECT_EQ(server.stats().corpus_preloaded, 0u);
+    EXPECT_EQ(server.stats().corpus_preloaded, 1u);
   }
-  EXPECT_TRUE(FilesEndingIn(dir, ".solver.esdc").empty());
+  EXPECT_TRUE(FilesEndingIn(dir, ".esdc").empty());
 
-  // An upgrade leaves the distance-table and solver-cache files of earlier
-  // versions behind. Both are hostile: the distance file's row count asks
-  // for ~8 EB, and the solver file's model value does not fit in 64 bits.
-  // For this scenario the searched module digests like the module itself,
-  // so each file carries the name and module line an earlier version would
-  // have read.
+  // An upgrade leaves the distance-table, solver-cache and fingerprint-
+  // corpus files of earlier versions behind. All three are hostile: the
+  // distance file's row count asks for ~8 EB, the solver file's model value
+  // does not fit in 64 bits, and the corpus file's record is not a
+  // fingerprint. For this scenario the searched module digests like the
+  // module itself, so each file carries the name and module line an earlier
+  // version would have read.
   char hex[17];
   std::snprintf(hex, sizeof(hex), "%016llx",
                 static_cast<unsigned long long>(module_digest));
@@ -205,17 +227,22 @@ TEST(ServeServerTest, ReuseLadderAcrossRestarts) {
       "end 1\n";
   const std::filesystem::path stale_solver_path =
       std::filesystem::path(dir) / (std::string(hex) + ".solver.esdc");
+  const std::string stale_fps_text = std::string("esdcache fps v1\nmodule ") +
+                                     hex + "\nfp not-a-fingerprint\nend 1\n";
+  const std::filesystem::path stale_fps_path =
+      std::filesystem::path(dir) / (std::string(hex) + ".fps.esdc");
   for (const auto& [path, text] :
        {std::pair{stale_path, stale_text},
-        std::pair{stale_solver_path, stale_solver_text}}) {
+        std::pair{stale_solver_path, stale_solver_text},
+        std::pair{stale_fps_path, stale_fps_text}}) {
     std::ofstream out(path, std::ios::binary | std::ios::trunc);
     out << text;
   }
 
   // Rung 4: with verdict reuse off, the restarted daemon must actually
-  // search, cold, and find the same execution; the persisted corpus flags
-  // it as a known duplicate. Neither stale file is read, and no solver
-  // entry is preloaded.
+  // search, cold, and find the same execution; the journal's record flags
+  // it as a known duplicate. No stale file is read, and no solver entry is
+  // preloaded.
   {
     ServerOptions options = BaseOptions(dir);
     options.reuse_results = false;
@@ -228,37 +255,110 @@ TEST(ServeServerTest, ReuseLadderAcrossRestarts) {
     EXPECT_TRUE(again.duplicate_bug);
     Server::Stats stats = server.stats();
     EXPECT_EQ(stats.solver_entries_preloaded, 0u);
-    EXPECT_GT(stats.corpus_preloaded, 0u);
+    EXPECT_EQ(stats.corpus_preloaded, 1u);
     EXPECT_EQ(stats.duplicate_bugs, 1u);
     EXPECT_TRUE(server.TakeLoadErrors().empty());
   }
-  EXPECT_EQ(ReadFile(stale_path), stale_text);
-  EXPECT_EQ(ReadFile(stale_solver_path), stale_solver_text);
 
-  // Rung 5: the same report against a *patched* module finds the stored
-  // execution and seeds the search from its schedule.
+  // Rung 5: the same report against a *patched* module is a new (report,
+  // module) pair. It searches cold and finds exactly the execution a
+  // one-shot synthesis of the patched module finds.
   {
     Server server(BaseOptions(dir));
     Job patched = job;
     patched.id = 2;
     patched.module_text +=
         "\nfunc @esd_service_patch_pad() : i32 {\nentry:\n  ret i32 0\n}\n";
-    JobResult incremental = server.Process(patched);
-    ASSERT_TRUE(incremental.ok) << incremental.error;
-    ASSERT_TRUE(incremental.reproduced) << incremental.failure_reason;
-    EXPECT_EQ(incremental.source, "incremental");
-    EXPECT_NE(incremental.module_digest, 0u);
-    EXPECT_EQ(server.stats().incremental, 1u);
+    JobResult result = server.Process(patched);
+    ASSERT_TRUE(result.ok) << result.error;
+    ASSERT_TRUE(result.reproduced) << result.failure_reason;
+    EXPECT_EQ(result.source, "cold");
+    EXPECT_NE(result.module_digest, module_digest);
+    EXPECT_EQ(result.exec_text, OneShotExecText(patched, BaseOptions(dir)));
+    EXPECT_EQ(server.stats().incremental, 0u);
   }
-  // No rung wrote a solver file: the only one is the planted one.
-  EXPECT_EQ(FilesEndingIn(dir, ".solver.esdc"),
-            std::vector<std::filesystem::path>{stale_solver_path});
+  // No rung wrote an .esdc file: the only ones are the planted ones, and
+  // none of them changed.
+  std::vector<std::filesystem::path> esdc = FilesEndingIn(dir, ".esdc");
+  std::sort(esdc.begin(), esdc.end());
+  std::vector<std::filesystem::path> planted = {stale_path, stale_solver_path,
+                                                stale_fps_path};
+  std::sort(planted.begin(), planted.end());
+  EXPECT_EQ(esdc, planted);
+  EXPECT_EQ(ReadFile(stale_path), stale_text);
+  EXPECT_EQ(ReadFile(stale_solver_path), stale_solver_text);
+  EXPECT_EQ(ReadFile(stale_fps_path), stale_fps_text);
 }
 
-// Concurrent jobs on one module load its persisted corpus once, and only
-// that load is counted: 8 workers search the same job at once, with verdict
-// reuse off, over a directory that holds the module's one-fingerprint
-// corpus.
+// Two different programs whose reports print byte-identically: the fuzz
+// barrier-mismatch programs of seeds 326039 and 754591 as perfbench's
+// service workload generates them (noise 8, 2 locks, guard depth 2). They
+// are submitted A, B, A through one Server over a cache directory. B must
+// be searched cold, as a one-shot synthesis of B would be, and the repeat
+// of A answered from A's own record.
+TEST(ServeServerTest, ProgramsSharingAReportTextAreSearchedApart) {
+  std::string dir = ::testing::TempDir() + "/esd_serve_shared_report_test";
+  std::filesystem::remove_all(dir);
+  auto make = [](uint64_t id, uint64_t seed) {
+    fuzz::GeneratorParams params;
+    params.kind = fuzz::BugKind::kBarrierMismatch;
+    params.seed = seed;
+    params.noise_per_thread = 8;
+    params.num_locks = 2;
+    params.guard_depth = 2;
+    return MakeJob(id, fuzz::Generate(params));
+  };
+  const Job a = make(1, 326039);
+  const Job b = make(2, 754591);
+  ASSERT_EQ(a.report_text, b.report_text);
+  ASSERT_NE(a.module_text, b.module_text);
+
+  Server server(BaseOptions(dir));
+  JobResult first = server.Process(a);
+  ASSERT_TRUE(first.ok && first.reproduced) << first.failure_reason;
+  EXPECT_EQ(first.source, "cold");
+
+  JobResult other = server.Process(b);
+  ASSERT_TRUE(other.ok && other.reproduced) << other.failure_reason;
+  EXPECT_EQ(other.source, "cold");
+  EXPECT_NE(other.module_digest, first.module_digest);
+  EXPECT_EQ(other.exec_text, OneShotExecText(b, BaseOptions(dir)));
+  EXPECT_FALSE(other.duplicate_bug);
+
+  JobResult repeat = server.Process(a);
+  ASSERT_TRUE(repeat.ok && repeat.reproduced) << repeat.failure_reason;
+  EXPECT_EQ(repeat.source, "cache");
+  EXPECT_EQ(repeat.fingerprint, first.fingerprint);
+  EXPECT_EQ(repeat.exec_text, first.exec_text);
+  EXPECT_EQ(server.stats().incremental, 0u);
+  EXPECT_EQ(server.stats().verdict_cache_hits, 1u);
+}
+
+// Without a cache directory the store lives in memory: an exact repeat is
+// still answered from the stored verdict and flagged as the known bug.
+TEST(ServeServerTest, InMemoryServerAnswersExactRepeats) {
+  fuzz::GeneratedProgram program = Scenario();
+  Job job = MakeJob(1, program);
+  Server server(BaseOptions(""));
+  JobResult cold = server.Process(job);
+  ASSERT_TRUE(cold.ok && cold.reproduced) << cold.failure_reason;
+  EXPECT_EQ(cold.source, "cold");
+  EXPECT_FALSE(cold.duplicate_bug);
+
+  JobResult repeat = server.Process(job);
+  ASSERT_TRUE(repeat.ok && repeat.reproduced) << repeat.failure_reason;
+  EXPECT_EQ(repeat.source, "cache");
+  EXPECT_TRUE(repeat.duplicate_bug);
+  EXPECT_EQ(repeat.fingerprint, cold.fingerprint);
+  EXPECT_EQ(repeat.exec_text, cold.exec_text);
+  EXPECT_EQ(server.stats().verdict_cache_hits, 1u);
+  EXPECT_TRUE(server.TakeLoadErrors().empty());
+}
+
+// Concurrent jobs on one module share its triage pairs, which are counted
+// once, when the store loads: 8 workers search the same job at once, with
+// verdict reuse off, over a journal that already holds the job's record.
+// Every one of them finds the known bug.
 TEST(ServeServerTest, ConcurrentJobsCountAModulesCorpusOnce) {
   std::string dir = ::testing::TempDir() + "/esd_serve_concurrent_test";
   std::filesystem::remove_all(dir);
@@ -271,7 +371,7 @@ TEST(ServeServerTest, ConcurrentJobsCountAModulesCorpusOnce) {
     ASSERT_TRUE(cold.ok && cold.reproduced) << cold.failure_reason;
     fingerprint = cold.fingerprint;
   }
-  ASSERT_EQ(FilesEndingIn(dir, ".fps.esdc").size(), 1u);
+  ASSERT_TRUE(std::filesystem::exists(dir + "/results.index"));
 
   ServerOptions options = BaseOptions(dir);
   options.reuse_results = false;
@@ -332,56 +432,6 @@ TEST(ServeServerTest, MalformedInputsFailSoftly) {
   EXPECT_TRUE(r3.reproduced);
 }
 
-TEST(ServeServerTest, CorruptedCacheFileMidServiceIsQuarantinedNotFatal) {
-  std::string dir = ::testing::TempDir() + "/esd_serve_corrupt_test";
-  std::filesystem::remove_all(dir);
-  fuzz::GeneratedProgram program = Scenario();
-  Job job = MakeJob(1, program);
-  {
-    Server server(BaseOptions(dir));
-    JobResult cold = server.Process(job);
-    ASSERT_TRUE(cold.ok && cold.reproduced);
-  }
-
-  // Corrupt every corpus file — a torn disk write while the daemon was
-  // down.
-  const std::vector<std::filesystem::path> corpus_files =
-      FilesEndingIn(dir, ".fps.esdc");
-  ASSERT_FALSE(corpus_files.empty());
-  for (const std::filesystem::path& path : corpus_files) {
-    std::ofstream out(path, std::ios::trunc);
-    out << "esdcache fps v1\nmodule garbage\n";
-  }
-
-  // The restarted daemon quarantines the file, reports it once, and still
-  // produces the verdict (a search that no longer knows the bug).
-  ServerOptions options = BaseOptions(dir);
-  options.reuse_results = false;
-  Server server(options);
-  JobResult result = server.Process(job);
-  ASSERT_TRUE(result.ok) << result.error;
-  EXPECT_TRUE(result.reproduced) << result.failure_reason;
-  std::vector<std::string> errors = server.TakeLoadErrors();
-  ASSERT_FALSE(errors.empty());
-  EXPECT_NE(errors[0].find("quarantined"), std::string::npos) << errors[0];
-  // Errors are drained: a second call reports nothing new.
-  EXPECT_TRUE(server.TakeLoadErrors().empty());
-  bool quarantine_exists = false;
-  for (const auto& entry : std::filesystem::directory_iterator(dir)) {
-    if (entry.path().string().find(".quarantined") != std::string::npos) {
-      quarantine_exists = true;
-    }
-  }
-  EXPECT_TRUE(quarantine_exists);
-  // The flush on shutdown regenerates a clean cache: the next daemon loads
-  // it without errors.
-  server.FlushAll();
-  Server reloaded(options);
-  JobResult again = reloaded.Process(job);
-  ASSERT_TRUE(again.ok);
-  EXPECT_TRUE(reloaded.TakeLoadErrors().empty());
-}
-
 // Whether `exec_text` parses and strictly replays the program's planted bug.
 bool StrictlyReplays(const fuzz::GeneratedProgram& program,
                      const std::string& exec_text) {
@@ -396,9 +446,9 @@ bool StrictlyReplays(const fuzz::GeneratedProgram& program,
 }
 
 // A stored execution whose bytes changed on disk must cost a search, never
-// be served: one digit of an input value is flipped in whichever cache file
-// holds the text, and the restarted daemon must answer with an execution
-// that still reproduces the bug, reporting the damage once.
+// be served: one digit of an input value is flipped in results.index, and
+// the restarted daemon must answer with an execution that still reproduces
+// the bug, reporting the damage once.
 TEST(ServeServerTest, CorruptedStoredExecutionIsNotServed) {
   std::string dir = ::testing::TempDir() + "/esd_serve_corrupt_exec_test";
   std::filesystem::remove_all(dir);
@@ -443,11 +493,14 @@ TEST(ServeServerTest, CorruptedStoredExecutionIsNotServed) {
   std::vector<std::string> errors = restarted.TakeLoadErrors();
   ASSERT_EQ(errors.size(), 1u);
   EXPECT_NE(errors[0].find("quarantined"), std::string::npos) << errors[0];
+  // Errors are drained: a second call reports nothing new.
+  EXPECT_TRUE(restarted.TakeLoadErrors().empty());
 }
 
-// Each verdict is on disk when Process returns. A copy of the cache
-// directory taken while the Server is still alive — no flush, no destructor:
-// what a SIGKILL leaves — answers the same job from the stored verdict.
+// Each verdict and its triage fingerprint are on disk when Process
+// returns. A copy of the cache directory taken while the Server is still
+// alive — no destructor: what a SIGKILL leaves — answers the same job from
+// the stored verdict, and with reuse off flags its search as the known bug.
 TEST(ServeServerTest, VerdictSurvivesHardKill) {
   std::string dir = ::testing::TempDir() + "/esd_serve_kill_test";
   std::string killed = dir + "_copy";
@@ -469,6 +522,17 @@ TEST(ServeServerTest, VerdictSurvivesHardKill) {
   EXPECT_EQ(cached.fingerprint, cold.fingerprint);
   EXPECT_EQ(cached.exec_text, cold.exec_text);
   EXPECT_TRUE(restarted.TakeLoadErrors().empty());
+
+  ServerOptions reuse_off = BaseOptions(killed);
+  reuse_off.reuse_results = false;
+  Server searching(reuse_off);
+  JobResult again = searching.Process(job);
+  ASSERT_TRUE(again.ok && again.reproduced) << again.failure_reason;
+  EXPECT_EQ(again.source, "cold");
+  EXPECT_EQ(again.fingerprint, cold.fingerprint);
+  EXPECT_TRUE(again.duplicate_bug);
+  EXPECT_EQ(searching.stats().corpus_preloaded, 1u);
+  EXPECT_TRUE(searching.TakeLoadErrors().empty());
 }
 
 }  // namespace

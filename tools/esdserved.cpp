@@ -9,17 +9,18 @@
 //
 //   <module.esd> <report.core> [out.exec]
 //
-// Jobs go through one FIFO queue to the synthesis workers. Each job
-// searches exactly as esdsynth does with the same options. The daemon
-// keeps every verdict and each module's execution-fingerprint corpus
-// across jobs and, with --cache-dir, across restarts (crash-safe versioned
-// cache files; a corrupted file is quarantined and regenerated, never
-// trusted). A re-submitted (report, module) pair answers from the stored
-// verdict; a known report against a *patched* module seeds the new search
-// from the previously synthesized execution (incremental re-synthesis).
+// Jobs go through one FIFO queue to the synthesis workers. The daemon
+// keeps every verdict, fingerprint and execution across jobs and, with
+// --cache-dir, across restarts, in one crash-safe journal (results.index;
+// a corrupted journal is quarantined, never trusted). A re-submitted
+// (report, module) pair answers from the stored verdict; every other job
+// searches exactly as esdsynth does with the same options, a patched
+// module included. A reproduced job whose module already has a record with
+// the same execution fingerprint is tagged duplicate-bug.
 //
-// SIGINT (or end of input with --once) drains the queue, flushes the
-// corpora to disk, prints the reuse summary, and exits 0.
+// SIGINT (or end of input with --once) drains the queue, prints the reuse
+// summary, and exits 0. Each verdict is already on disk when its job line
+// is printed, so nothing waits for a flush.
 #include <csignal>
 #include <iostream>
 #include <mutex>
@@ -40,11 +41,11 @@ void Usage(std::ostream& os = std::cerr) {
      << "Persistent synthesis service: reads jobs (one per line:\n"
      << "  <module.esd> <report.core> [out.exec]\n"
      << ") from the given manifest files, then from stdin unless --once.\n"
-     << "Verdicts and fingerprint corpora survive across jobs and, with\n"
+     << "Verdicts and bug fingerprints survive across jobs and, with\n"
      << "--cache-dir, restarts.\n"
      << "\n"
      << "options:\n"
-     << "  --cache-dir DIR    persist verdicts + corpora under DIR\n"
+     << "  --cache-dir DIR    persist verdicts in DIR/results.index\n"
      << "  --jobs N           portfolio width per synthesis (default 1)\n"
      << "  --threads N        concurrent synthesis workers (default 1)\n"
      << "  --once             exit after the manifests; do not read stdin\n"
@@ -55,7 +56,7 @@ void Usage(std::ostream& os = std::cerr) {
 }
 
 // SIGINT flips this; installed without SA_RESTART so a blocking stdin read
-// is interrupted and the read loop exits to the drain + flush path.
+// is interrupted and the read loop exits to the drain path.
 volatile std::sig_atomic_t g_interrupted = 0;
 void HandleSigint(int) { g_interrupted = 1; }
 
@@ -171,12 +172,7 @@ int main(int argc, char** argv) {
         } else if (r.reproduced) {
           std::cout << "job " << r.job_id << " reproduced fingerprint "
                     << r.fingerprint << " source " << r.source
-                    << (r.duplicate_bug ? " duplicate-bug" : "");
-          if (r.seed_switches > 0) {
-            std::cout << " seed-prefix " << r.seed_best_prefix << "/"
-                      << r.seed_switches;
-          }
-          std::cout << "\n";
+                    << (r.duplicate_bug ? " duplicate-bug" : "") << "\n";
         } else {
           std::cout << "job " << r.job_id << " not-reproduced source "
                     << r.source << ": " << r.failure_reason << "\n";
@@ -207,20 +203,17 @@ int main(int argc, char** argv) {
     }
   }
 
-  // Normal end of input or SIGINT: drain what is queued, then flush.
+  // Normal end of input or SIGINT: drain what is queued.
   queue.Close();
   for (std::thread& t : workers) {
     t.join();
   }
-  server.FlushAll();
 
   serve::Server::Stats stats = server.stats();
   std::cout << "esdserved: " << stats.jobs << " jobs (" << stats.reproduced
             << " reproduced, " << stats.verdict_cache_hits << " verdict-cache, "
-            << stats.incremental << " incremental, " << stats.duplicate_bugs
-            << " duplicate-bug), " << stats.solver_shared_hits
-            << " solver cache hits, " << stats.corpus_preloaded
-            << " corpus fingerprints preloaded\n";
-  std::cout << "esdserved: caches flushed\n";
+            << stats.duplicate_bugs << " duplicate-bug), "
+            << stats.solver_shared_hits << " solver cache hits, "
+            << stats.corpus_preloaded << " corpus fingerprints preloaded\n";
   return 0;
 }
