@@ -174,44 +174,30 @@ struct RangePolicy {
 };
 
 RangeAnalysis::RangeAnalysis(const ir::Function& fn, const Cfg& cfg) : fn_(fn) {
-  block_start_.resize(fn.blocks.size(), 0);
-  size_t total = 0;
-  for (size_t b = 0; b < fn.blocks.size(); ++b) {
-    block_start_[b] = total;
-    total += fn.blocks[b].insts.size();
-  }
-  pre_.resize(total);
   if (fn.blocks.empty()) {
     return;
   }
   RangePolicy policy{&fn};
   DataflowEngine<RangePolicy> engine(fn, cfg, Direction::kForward, &policy);
   engine.Run();
+  entry_.reserve(fn.blocks.size());
   for (uint32_t b = 0; b < fn.blocks.size(); ++b) {
-    size_t start = block_start_[b];
-    size_t n = fn.blocks[b].insts.size();
-    if (n == 0) {
-      continue;
-    }
-    pre_[start] = engine.EntryState(b);
-    engine.FoldBlock(b, [&](uint32_t i, const State& s) {
-      if (i + 1 < n) {
-        pre_[start + i + 1] = s;
-      }
-    });
+    entry_.push_back(engine.EntryState(b));
   }
 }
 
 Interval RangeAnalysis::RegRange(uint32_t reg, uint32_t block,
                                  uint32_t inst) const {
-  if (block >= block_start_.size()) {
+  if (block >= entry_.size() || inst >= fn_.blocks[block].insts.size()) {
     return FullInterval(64);
   }
-  size_t idx = block_start_[block] + inst;
-  if (idx >= pre_.size()) {
-    return FullInterval(64);
+  // Seek to the instruction, as DataflowEngine::StateAt does.
+  RangePolicy policy{&fn_};
+  State s = entry_[block];
+  const std::vector<ir::Instruction>& insts = fn_.blocks[block].insts;
+  for (uint32_t i = 0; i < inst; ++i) {
+    policy.Transfer(insts[i], block, i, &s);
   }
-  const State& s = pre_[idx];
   auto it = s.regs.find(reg);
   return it == s.regs.end() ? FullInterval(64) : it->second;
 }

@@ -20,6 +20,7 @@
 
 #include <cstdint>
 #include <map>
+#include <vector>
 
 #include "src/analysis/cfg.h"
 #include "src/analysis/interval.h"
@@ -39,7 +40,9 @@ class RangeAnalysis {
   Interval RangeOf(const ir::Value& v, uint32_t block, uint32_t inst) const;
 
   // The interval of register `reg` at the fixpoint state before
-  // (block, inst); full-range when nothing was proven.
+  // (block, inst); full-range when nothing was proven. Re-applies the
+  // block's transfers from its entry state up to `inst`, so a query costs
+  // O(inst) and the analysis keeps one state per block.
   Interval RegRange(uint32_t reg, uint32_t block, uint32_t inst) const;
 
   // One program point's knowledge. `reachable == false` is the lattice
@@ -53,10 +56,8 @@ class RangeAnalysis {
 
  private:
   const ir::Function& fn_;
-  // Fixpoint state just before each (block, instruction) program point,
-  // flattened: block b's instruction i occupies pre_[block_start_[b] + i].
-  std::vector<State> pre_;
-  std::vector<size_t> block_start_;
+  // Fixpoint state on entry to each block (before its first instruction).
+  std::vector<State> entry_;
 };
 
 }  // namespace esd::analysis

@@ -1,20 +1,28 @@
 // Pooled small-object arena for the state-engine hot path.
 //
-// Fork-heavy synthesis churns three allocation shapes at enormous rates:
-// ExecutionState clones, Expr nodes, and COW memory pages. All are small,
-// fixed-shape, and die in bursts, which makes the general-purpose allocator
-// (with its size-class search, locking, and thread cache maintenance) the
-// dominant cost of fork/destroy. This arena replaces it for those types:
+// Fork-heavy synthesis churns a few allocation shapes at enormous rates:
+// ExecutionState clones and every container a state owns (thread, frame,
+// register, alloca, store-buffer, sync-object, sleep-set and snapshot
+// containers, the address space's object and page tables, memory objects,
+// schedule-trace chunks), Expr nodes, COW memory pages, and the searchers'
+// per-state maps. All are small and die in bursts — a fork copies them all
+// and a disposal frees them all — which makes the general-purpose
+// allocator (with its size-class search, locking, and a thread cache that a
+// disposal burst overflows) the dominant cost of fork/destroy. This arena
+// replaces it for those types:
 //
 //   - blocks are rounded to 16-byte size classes up to 1 KiB; larger
 //     requests fall through to ::operator new;
 //   - each thread keeps a magazine of per-class free lists, so alloc/free
-//     on the hot path is a pointer pop/push with no locking;
+//     on the hot path is a pointer pop/push with no locking; a class's
+//     refills start small and grow, so a short-lived thread takes about
+//     what it uses;
 //   - magazines refill from (and overflow to) a central, mutex-protected
 //     pool that carves blocks out of slabs that are never returned to the
 //     OS — a leaky singleton, so frees that arrive during static
 //     destruction or after a portfolio worker thread has exited remain
-//     safe (they take the locked central path).
+//     safe (they take the locked central path). The process's footprint
+//     therefore stays at the sum of each size class's peak.
 //
 // Cross-thread contract (the cooperative portfolio moves states between
 // worker threads, so thread B routinely frees blocks thread A allocated):
@@ -26,9 +34,14 @@
 // recirculation; tests/memory_cow_test.cc exercises the
 // allocate-on-A/free-on-B pattern under ASan.
 //
-// ArenaAllocator<T> adapts the arena to the standard allocator interface
-// so shared_ptr-managed objects can live in it via std::allocate_shared
-// (the control block and payload share one pooled allocation).
+// Under AddressSanitizer a pooled block is poisoned while it is free (all
+// but its free-list link word), so a use-after-free of pooled memory still
+// reports, as use-after-poison; outside ASan the poisoning compiles away.
+//
+// ArenaAllocator<T> adapts the arena to the standard allocator interface,
+// for containers (std::vector, std::map, ...) and for shared_ptr-managed
+// objects via std::allocate_shared (the control block and payload share one
+// pooled allocation). Any request of at most 1 KiB is pooled.
 #ifndef ESD_SRC_CORE_ARENA_H_
 #define ESD_SRC_CORE_ARENA_H_
 
@@ -61,18 +74,10 @@ struct ArenaAllocator {
   ArenaAllocator(const ArenaAllocator<U>&) noexcept {}
 
   T* allocate(std::size_t n) {
-    if (n == 1) {
-      return static_cast<T*>(ArenaAlloc(sizeof(T)));
-    }
-    return static_cast<T*>(::operator new(n * sizeof(T)));
+    static_assert(alignof(T) <= 16, "arena blocks are 16-byte aligned");
+    return static_cast<T*>(ArenaAlloc(n * sizeof(T)));
   }
-  void deallocate(T* p, std::size_t n) noexcept {
-    if (n == 1) {
-      ArenaFree(p, sizeof(T));
-      return;
-    }
-    ::operator delete(p);
-  }
+  void deallocate(T* p, std::size_t n) noexcept { ArenaFree(p, n * sizeof(T)); }
 
   template <typename U>
   bool operator==(const ArenaAllocator<U>&) const noexcept {

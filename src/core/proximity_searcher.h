@@ -22,6 +22,7 @@
 #include <vector>
 
 #include "src/analysis/distance.h"
+#include "src/core/arena.h"
 #include "src/core/goal.h"
 #include "src/vm/searcher.h"
 
@@ -119,8 +120,13 @@ class ProximitySearcher : public vm::Searcher {
   std::vector<ir::InstRef> stack_scratch_;
   // Hashed by state pointer: probed on every push (stamp read) and every
   // pop (stamp validation), so lookup cost matters more than order; the
-  // only full iteration is the rare all-stale rebuild in Select.
-  std::unordered_map<const vm::ExecutionState*, std::pair<vm::StatePtr, uint64_t>>
+  // only full iteration is the rare all-stale rebuild in Select. Its nodes
+  // come and go with the states, so they are pooled like them.
+  using LiveEntry = std::pair<vm::StatePtr, uint64_t>;
+  std::unordered_map<const vm::ExecutionState*, LiveEntry,
+                     std::hash<const vm::ExecutionState*>,
+                     std::equal_to<const vm::ExecutionState*>,
+                     core::ArenaAllocator<std::pair<const vm::ExecutionState* const, LiveEntry>>>
       live_;
   std::mt19937_64 rng_;
   uint64_t next_stamp_ = 1;

@@ -108,7 +108,7 @@ bool IsCommutative(ExprKind kind) {
 }
 
 size_t NodeHash(ExprKind kind, uint32_t width, uint64_t aux,
-                const std::vector<ExprRef>& kids) {
+                std::span<const ExprRef> kids) {
   size_t h = HashCombine(static_cast<size_t>(kind), width);
   h = HashCombine(h, static_cast<size_t>(aux));
   for (const ExprRef& k : kids) {
@@ -125,10 +125,10 @@ struct VarExpr final : Expr {
   std::string name;
 };
 
-ExprRef MakeNode(ExprKind kind, uint32_t width, uint64_t aux, std::vector<ExprRef> kids) {
+ExprRef MakeNode(ExprKind kind, uint32_t width, uint64_t aux,
+                 std::initializer_list<ExprRef> kids) {
   CountEvent(&EventCounters::expr_allocs);
-  return std::allocate_shared<Expr>(core::ArenaAllocator<Expr>(), kind, width, aux,
-                                    std::move(kids));
+  return std::allocate_shared<Expr>(core::ArenaAllocator<Expr>(), kind, width, aux, kids);
 }
 
 // Generic simplifying binary constructor for arithmetic/bitwise kinds
@@ -224,14 +224,17 @@ ExprRef MakeBinary(ExprKind kind, ExprRef a, ExprRef b) {
 
 }  // namespace
 
-Expr::Expr(ExprKind kind, uint32_t width, uint64_t aux, std::vector<ExprRef> kids)
-    : kind_(kind), width_(width), aux_(aux), kids_(std::move(kids)),
-      hash_(NodeHash(kind, width, aux, kids_)) {
+Expr::Expr(ExprKind kind, uint32_t width, uint64_t aux,
+           std::initializer_list<ExprRef> kids)
+    : kind_(kind), num_kids_(static_cast<uint8_t>(kids.size())), width_(width),
+      aux_(aux), hash_(NodeHash(kind, width, aux, kids)) {
   assert(width_ >= 1 && width_ <= 64);
   assert(kind_ != ExprKind::kVar && "kVar nodes come from MakeVar");
+  assert(kids.size() <= kMaxKids);
+  std::copy(kids.begin(), kids.end(), kids_);
   // Summary: the sorted union of the kids' ids, by insertion into the
   // inline array; one id too many (or an overflowed kid) overflows it.
-  for (const ExprRef& k : kids_) {
+  for (const ExprRef& k : kids) {
     if (k->vars_overflow()) {
       num_vars_ = kVarsOverflow;
       return;
@@ -270,10 +273,10 @@ bool Expr::Equal(const ExprRef& a, const ExprRef& b) {
     return true;
   }
   if (a->hash_ != b->hash_ || a->kind_ != b->kind_ || a->width_ != b->width_ ||
-      a->aux_ != b->aux_ || a->kids_.size() != b->kids_.size()) {
+      a->aux_ != b->aux_ || a->num_kids_ != b->num_kids_) {
     return false;
   }
-  for (size_t i = 0; i < a->kids_.size(); ++i) {
+  for (size_t i = 0; i < a->num_kids_; ++i) {
     if (!Equal(a->kids_[i], b->kids_[i])) {
       return false;
     }
@@ -309,7 +312,7 @@ ExprRef MakeConst(uint32_t width, uint64_t value) {
         for (uint64_t v = 0; v < kCachedValues; ++v) {
           if (v <= WidthMask(kCachedWidths[r])) {
             (*table)[r][v] = std::make_shared<Expr>(
-                ExprKind::kConst, kCachedWidths[r], v, std::vector<ExprRef>{});
+                ExprKind::kConst, kCachedWidths[r], v, std::initializer_list<ExprRef>{});
           }
         }
       }

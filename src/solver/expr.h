@@ -20,6 +20,7 @@
 #define ESD_SRC_SOLVER_EXPR_H_
 
 #include <cstdint>
+#include <initializer_list>
 #include <map>
 #include <memory>
 #include <span>
@@ -62,17 +63,23 @@ using ExprRef = std::shared_ptr<const Expr>;
 
 class Expr {
  public:
+  // Kids a node can have: kIte has three, every other kind at most two.
+  // They are held in the node, so a node is one allocation.
+  static constexpr size_t kMaxKids = 3;
   // Variable ids a node holds inline (see the summary above). Four keeps
-  // sizeof(Expr) at 80 bytes: the kVar name lives only in kVar nodes.
+  // sizeof(Expr) at 104 bytes with the inline kids, so a pooled node and
+  // its shared_ptr control block fit one 128-byte arena block; the kVar
+  // name lives only in kVar nodes.
   static constexpr size_t kInlineVars = 4;
 
-  // Builds a node of any kind but kVar, which only MakeVar creates.
-  Expr(ExprKind kind, uint32_t width, uint64_t aux, std::vector<ExprRef> kids);
+  // Builds a node of any kind but kVar, which only MakeVar creates. At most
+  // kMaxKids kids.
+  Expr(ExprKind kind, uint32_t width, uint64_t aux, std::initializer_list<ExprRef> kids);
 
   ExprKind kind() const { return kind_; }
   uint32_t width() const { return width_; }
   uint64_t aux() const { return aux_; }
-  const std::vector<ExprRef>& kids() const { return kids_; }
+  std::span<const ExprRef> kids() const { return {kids_, num_kids_}; }
   // The symbolic-input name of a kVar; empty for every other kind.
   const std::string& name() const;
   size_t hash() const { return hash_; }
@@ -104,10 +111,11 @@ class Expr {
 
   ExprKind kind_;
   uint8_t num_vars_ = 0;  // Ids in vars_, or kVarsOverflow.
+  uint8_t num_kids_ = 0;  // Filled entries of kids_.
   uint32_t width_;
   uint64_t aux_;
-  std::vector<ExprRef> kids_;
   size_t hash_;
+  ExprRef kids_[kMaxKids];
   uint64_t vars_[kInlineVars] = {};
 };
 

@@ -58,7 +58,7 @@ Steer AfterGuess(Steer s) {
 Steer SteerOnto(const ExprRef& e, uint64_t target, bool guess,
                 std::map<uint64_t, uint64_t>* asg) {
   target &= IntervalMask(e->width());
-  const std::vector<ExprRef>& kids = e->kids();
+  std::span<const ExprRef> kids = e->kids();
   switch (e->kind()) {
     case ExprKind::kVar:
       (*asg)[e->aux()] = target;

@@ -14,6 +14,7 @@
 #include <functional>
 #include <unordered_map>
 
+#include "src/core/arena.h"
 #include "src/vm/fingerprint.h"
 #include "src/vm/interpreter.h"
 #include "src/vm/race_detector.h"
@@ -137,7 +138,12 @@ class Engine : public EngineServices {
   Interpreter* interpreter_;
   Searcher* searcher_;
   Options options_;
-  std::unordered_map<const ExecutionState*, StatePtr> live_;
+  // Pooled: one node per live state, inserted at its fork and erased at
+  // its disposal.
+  std::unordered_map<const ExecutionState*, StatePtr, std::hash<const ExecutionState*>,
+                     std::equal_to<const ExecutionState*>,
+                     core::ArenaAllocator<std::pair<const ExecutionState* const, StatePtr>>>
+      live_;
   BugCallback unexpected_cb_;
   uint64_t states_created_ = 0;
   uint64_t states_deduped_ = 0;

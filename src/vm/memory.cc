@@ -30,7 +30,7 @@ const solver::ExprRef& ZeroByte() {
 }
 
 uint32_t AddressSpace::Allocate(uint32_t size, ObjectKind kind, std::string name) {
-  auto obj = std::make_shared<MemoryObject>();
+  auto obj = std::allocate_shared<MemoryObject>(core::ArenaAllocator<MemoryObject>());
   obj->id = static_cast<uint32_t>(objects_.size()) + 1;
   obj->size = size;
   obj->kind = kind;
@@ -75,7 +75,8 @@ MemoryObject* AddressSpace::FindWritable(uint32_t id) {
   }
   std::shared_ptr<MemoryObject>& slot = objects_[id - 1];
   if (slot.use_count() > 1) {
-    slot = std::make_shared<MemoryObject>(*slot);  // Pages stay shared.
+    // Pages stay shared.
+    slot = std::allocate_shared<MemoryObject>(core::ArenaAllocator<MemoryObject>(), *slot);
   }
   return slot.get();
 }

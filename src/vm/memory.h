@@ -35,6 +35,7 @@
 #include <string>
 #include <vector>
 
+#include "src/core/arena.h"
 #include "src/solver/expr.h"
 
 namespace esd::vm {
@@ -62,7 +63,7 @@ struct MemoryObject {
   bool freed = false;
   std::string name;  // Global name or allocation-site label, for diagnostics.
   // ceil(size / kPageSize) entries; a null entry is an all-zero page.
-  std::vector<PageRef> pages;
+  std::vector<PageRef, core::ArenaAllocator<PageRef>> pages;
 
   // The byte at `offset` (must be < size); ZeroByte() for untouched slots.
   const solver::ExprRef& ByteAt(uint32_t offset) const {
@@ -113,8 +114,12 @@ class AddressSpace {
   uint64_t content_hash() const { return content_hash_; }
 
  private:
-  // Indexed by id - 1; ids are allocated densely.
-  std::vector<std::shared_ptr<MemoryObject>> objects_;
+  // Indexed by id - 1; ids are allocated densely. Objects, their page
+  // tables and this table are arena blocks: a fork copies the table and a
+  // first write clones an object.
+  std::vector<std::shared_ptr<MemoryObject>,
+              core::ArenaAllocator<std::shared_ptr<MemoryObject>>>
+      objects_;
   uint64_t content_hash_ = 0;
 };
 

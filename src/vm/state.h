@@ -9,12 +9,14 @@
 #define ESD_SRC_VM_STATE_H_
 
 #include <cstdint>
+#include <functional>
 #include <map>
 #include <memory>
 #include <optional>
 #include <string>
 #include <vector>
 
+#include "src/core/arena.h"
 #include "src/ir/instruction.h"
 #include "src/solver/expr.h"
 #include "src/vm/memory.h"
@@ -24,15 +26,24 @@ namespace esd::vm {
 class ExecutionState;
 using StatePtr = std::shared_ptr<ExecutionState>;
 
+// Containers a state owns. A fork copies every one of them and a disposal
+// frees them, so they live in the small-object arena (src/core/arena.h)
+// rather than the general-purpose heap.
+template <typename T>
+using StateVector = std::vector<T, core::ArenaAllocator<T>>;
+template <typename K, typename V>
+using StateMap =
+    std::map<K, V, std::less<K>, core::ArenaAllocator<std::pair<const K, V>>>;
+
 struct StackFrame {
   uint32_t func = ir::kInvalidIndex;
   uint32_t block = 0;
   uint32_t inst = 0;
-  std::vector<solver::ExprRef> regs;
+  StateVector<solver::ExprRef> regs;
   // Register in the caller's frame receiving the return value (-1: none).
   int32_t ret_reg = -1;
   // Stack objects to release when this frame pops.
-  std::vector<uint32_t> allocas;
+  StateVector<uint32_t> allocas;
 };
 
 enum class ThreadStatus : uint8_t {
@@ -69,7 +80,7 @@ inline constexpr size_t kStoreBufferCap = 8;
 struct Thread {
   uint32_t id = 0;
   ThreadStatus status = ThreadStatus::kRunnable;
-  std::vector<StackFrame> frames;
+  StateVector<StackFrame> frames;
   uint64_t wait_mutex = 0;        // Address when kBlockedMutex.
   uint64_t wait_cond = 0;         // Address when kBlockedCond.
   uint64_t cond_saved_mutex = 0;  // Mutex to reacquire after cond wakeup.
@@ -83,7 +94,7 @@ struct Thread {
   // order (a later store to the same address can never pass an earlier
   // one); entries for different addresses may drain in any order — the
   // relaxed-store reordering that makes stale-read interleavings reachable.
-  std::vector<PendingStore> store_buffer;
+  StateVector<PendingStore> store_buffer;
 
   ir::InstRef Pc() const {
     if (frames.empty()) {
@@ -109,7 +120,7 @@ struct MutexState {
 // appear in `readers` more than once.
 struct RwLockState {
   uint32_t writer = ir::kInvalidIndex;  // kInvalidIndex: no active writer.
-  std::vector<uint32_t> readers;        // Multiset of read-holding tids.
+  StateVector<uint32_t> readers;        // Multiset of read-holding tids.
   ir::InstRef acquired_at;              // The active writer's acquisition site.
 
   bool Free() const { return writer == ir::kInvalidIndex && readers.empty(); }
@@ -132,7 +143,7 @@ struct SemState {
 // a zero count as invalid-sync).
 struct BarrierState {
   uint32_t required = 0;
-  std::vector<uint32_t> waiting;  // Tids parked at the barrier.
+  StateVector<uint32_t> waiting;  // Tids parked at the barrier.
 };
 
 // One entry of the serialized schedule trace; used both to detect the goal
@@ -186,27 +197,26 @@ struct SchedEvent {
 // state used to deep-copy the whole trace — O(events executed so far) per
 // fork, the dominant fork cost on long executions. Instead the trace is a
 // list of fixed-size chunks held by shared_ptr: a fork copies only the
-// chunk-pointer vector, and the first append after a fork clones just the
+// chunk-pointer list, and the first append after a fork clones just the
 // (partially filled) last chunk. Every chunk except the last is full, so
 // indexing stays O(1). The interface is the subset of std::vector the
 // trace's consumers use (append, size, operator[], range-for).
 //
-// A chunk holds 16 events (640 bytes), under glibc's 1 KiB large-request
-// threshold, at which malloc first consolidates its fast bins: a much
-// slower path on a fork-heavy search. Every chunk, a fork's tail clone
-// included, is allocated once at full capacity and never grows.
+// A chunk holds 16 events (640 bytes) inline, so a chunk and its
+// shared_ptr control block are one arena block (the arena pools requests up
+// to 1 KiB), as is the chunk-pointer list of all but very long traces.
 class SchedTrace {
  public:
   void push_back(const SchedEvent& ev) {
-    if (chunks_.empty() || chunks_.back()->size() == kChunk) {
-      chunks_.push_back(NewChunk());
+    if (chunks_.empty() || chunks_.back()->size == kChunk) {
+      chunks_.push_back(std::allocate_shared<Chunk>(core::ArenaAllocator<Chunk>()));
     } else if (chunks_.back().use_count() > 1) {
       // Shared with a fork sibling: clone the tail chunk before appending.
-      std::shared_ptr<std::vector<SchedEvent>> tail = NewChunk();
-      tail->assign(chunks_.back()->begin(), chunks_.back()->end());
-      chunks_.back() = std::move(tail);
+      chunks_.back() =
+          std::allocate_shared<Chunk>(core::ArenaAllocator<Chunk>(), *chunks_.back());
     }
-    chunks_.back()->push_back(ev);
+    Chunk& tail = *chunks_.back();
+    tail.events[tail.size++] = ev;
     ++size_;
   }
 
@@ -214,7 +224,7 @@ class SchedTrace {
   bool empty() const { return size_ == 0; }
 
   const SchedEvent& operator[](size_t i) const {
-    return (*chunks_[i >> kChunkLog2])[i & (kChunk - 1)];
+    return chunks_[i >> kChunkLog2]->events[i & (kChunk - 1)];
   }
 
   class const_iterator {
@@ -241,13 +251,12 @@ class SchedTrace {
   static constexpr size_t kChunkLog2 = 4;
   static constexpr size_t kChunk = size_t{1} << kChunkLog2;
 
-  static std::shared_ptr<std::vector<SchedEvent>> NewChunk() {
-    auto chunk = std::make_shared<std::vector<SchedEvent>>();
-    chunk->reserve(kChunk);
-    return chunk;
-  }
+  struct Chunk {
+    SchedEvent events[kChunk] = {};
+    size_t size = 0;  // Filled prefix of events.
+  };
 
-  std::vector<std::shared_ptr<std::vector<SchedEvent>>> chunks_;
+  StateVector<std::shared_ptr<Chunk>> chunks_;
   size_t size_ = 0;
 };
 
@@ -405,7 +414,7 @@ class ExecutionState {
 
   // ---- Program state ----
   AddressSpace mem;
-  std::vector<Thread> threads;
+  StateVector<Thread> threads;
   uint32_t current_tid = 0;
   uint32_t next_tid = 1;
 
@@ -424,30 +433,30 @@ class ExecutionState {
   // invalidates the memoized sync fold the fingerprint reuses (the compiler
   // enforces that no mutation can skip the invalidation). Keyed by the sync
   // object's address; cond_waiters maps condvar address -> waiting tids.
-  const std::map<uint64_t, MutexState>& mutexes() const { return mutexes_; }
-  const std::map<uint64_t, std::vector<uint32_t>>& cond_waiters() const {
+  const StateMap<uint64_t, MutexState>& mutexes() const { return mutexes_; }
+  const StateMap<uint64_t, StateVector<uint32_t>>& cond_waiters() const {
     return cond_waiters_;
   }
-  const std::map<uint64_t, RwLockState>& rwlocks() const { return rwlocks_; }
-  const std::map<uint64_t, SemState>& semaphores() const { return semaphores_; }
-  const std::map<uint64_t, BarrierState>& barriers() const { return barriers_; }
-  std::map<uint64_t, MutexState>& mutable_mutexes() {
+  const StateMap<uint64_t, RwLockState>& rwlocks() const { return rwlocks_; }
+  const StateMap<uint64_t, SemState>& semaphores() const { return semaphores_; }
+  const StateMap<uint64_t, BarrierState>& barriers() const { return barriers_; }
+  StateMap<uint64_t, MutexState>& mutable_mutexes() {
     sync_fold_valid_ = false;
     return mutexes_;
   }
-  std::map<uint64_t, std::vector<uint32_t>>& mutable_cond_waiters() {
+  StateMap<uint64_t, StateVector<uint32_t>>& mutable_cond_waiters() {
     sync_fold_valid_ = false;
     return cond_waiters_;
   }
-  std::map<uint64_t, RwLockState>& mutable_rwlocks() {
+  StateMap<uint64_t, RwLockState>& mutable_rwlocks() {
     sync_fold_valid_ = false;
     return rwlocks_;
   }
-  std::map<uint64_t, SemState>& mutable_semaphores() {
+  StateMap<uint64_t, SemState>& mutable_semaphores() {
     sync_fold_valid_ = false;
     return semaphores_;
   }
-  std::map<uint64_t, BarrierState>& mutable_barriers() {
+  StateMap<uint64_t, BarrierState>& mutable_barriers() {
     sync_fold_valid_ = false;
     return barriers_;
   }
@@ -457,21 +466,21 @@ class ExecutionState {
   std::string output;  // Concatenated print_* output.
   // The paper's K_S map: mutex address -> snapshot state forked just before
   // that mutex was acquired (deadlock schedule synthesis, §4.1).
-  std::map<uint64_t, StatePtr> lock_snapshots;
+  StateMap<uint64_t, StatePtr> lock_snapshots;
   double schedule_distance = kScheduleFar;
   bool is_schedule_snapshot = false;
   // Sleeping (thread, operation) pairs; forks copy it with the state.
-  std::vector<SleepEntry> sleep_set;
+  StateVector<SleepEntry> sleep_set;
 
  private:
   // XOR aggregate of the sync-object contributions to the fingerprint.
   uint64_t SyncFold() const;
 
-  std::map<uint64_t, MutexState> mutexes_;
-  std::map<uint64_t, std::vector<uint32_t>> cond_waiters_;
-  std::map<uint64_t, RwLockState> rwlocks_;
-  std::map<uint64_t, SemState> semaphores_;
-  std::map<uint64_t, BarrierState> barriers_;
+  StateMap<uint64_t, MutexState> mutexes_;
+  StateMap<uint64_t, StateVector<uint32_t>> cond_waiters_;
+  StateMap<uint64_t, RwLockState> rwlocks_;
+  StateMap<uint64_t, SemState> semaphores_;
+  StateMap<uint64_t, BarrierState> barriers_;
   // Memoized SyncFold(): sync objects change only at sync operations, while
   // the fingerprint is taken at every sync point and schedule fork — so the
   // fold is reused across the (frequent) fingerprints between (rare)

@@ -267,6 +267,18 @@ TEST_F(CliNegativeTest, EsdservedNegativePaths) {
   RunResult r = RunCommand(Tool("esdserved") + " --once " + manifest);
   EXPECT_EQ(r.exit_code, 0);
   EXPECT_NE(r.stderr_text.find("dropped"), std::string::npos) << r.stderr_text;
+  // An unusable cache directory is reported even when no job runs: the
+  // daemon still serves (from memory), so it exits 0, but says why nothing
+  // will persist before the summary.
+  const std::string not_a_dir = dir_ + "/notadir";
+  WriteTo(not_a_dir, "a regular file\n");
+  const std::string empty = dir_ + "/empty.jobs";
+  WriteTo(empty, "");
+  r = RunCommand(Tool("esdserved") + " --once --cache-dir " + not_a_dir + "/sub " +
+                 empty);
+  EXPECT_EQ(r.exit_code, 0) << r.stderr_text;
+  EXPECT_NE(r.stderr_text.find("esdserved: cache:"), std::string::npos)
+      << r.stderr_text;
 }
 
 TEST_F(CliNegativeTest, RemovedFlagsAreUnknownOptions) {

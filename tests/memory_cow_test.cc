@@ -6,6 +6,7 @@
 // rebuilding only the *final* contents in any order lands on the same hash
 // the evolved space maintained store by store.
 #include <gtest/gtest.h>
+#include <sanitizer/asan_interface.h>
 
 #include <cstdint>
 #include <cstring>
@@ -326,6 +327,44 @@ TEST(MemoryCowCrossThread, ArenaRecirculatesCrossThreadFrees) {
   freer.join();
   EXPECT_GT(core::ArenaCentralReturns(), returns_before)
       << "cross-thread frees past the flush threshold must recirculate";
+}
+
+#if defined(__SANITIZE_ADDRESS__)
+#define ESD_TEST_ASAN 1
+#elif defined(__has_feature)
+#if __has_feature(address_sanitizer)
+#define ESD_TEST_ASAN 1
+#endif
+#endif
+
+TEST(MemoryCow, FreedArenaBlocksArePoisonedPastTheirLinkWord) {
+#ifndef ESD_TEST_ASAN
+  GTEST_SKIP() << "needs AddressSanitizer";
+#else
+  // Pooled memory is invisible to ASan's own allocator, so the arena
+  // poisons a free block itself: everything but the link word, which the
+  // free lists use. Handing the block out again clears it.
+  constexpr size_t kSize = 96;
+  auto* p = static_cast<char*>(core::ArenaAlloc(kSize));
+  std::memset(p, 0xcd, kSize);
+  for (size_t i = 0; i < kSize; ++i) {
+    ASSERT_FALSE(__asan_address_is_poisoned(p + i)) << "live byte " << i;
+  }
+  core::ArenaFree(p, kSize);
+  for (size_t i = 0; i < sizeof(void*); ++i) {
+    EXPECT_FALSE(__asan_address_is_poisoned(p + i)) << "link byte " << i;
+  }
+  for (size_t i = sizeof(void*); i < kSize; ++i) {
+    EXPECT_TRUE(__asan_address_is_poisoned(p + i)) << "freed byte " << i;
+  }
+  // This thread's magazine is LIFO: the same block comes back.
+  auto* q = static_cast<char*>(core::ArenaAlloc(kSize));
+  ASSERT_EQ(q, p);
+  for (size_t i = 0; i < kSize; ++i) {
+    EXPECT_FALSE(__asan_address_is_poisoned(q + i)) << "reused byte " << i;
+  }
+  core::ArenaFree(q, kSize);
+#endif
 }
 
 }  // namespace

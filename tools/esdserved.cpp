@@ -117,6 +117,16 @@ int main(int argc, char** argv) {
   serve::JobQueue queue;
   uint64_t next_id = 0;
 
+  // Prints the cache problems the server met since the last call: its
+  // start-up load (before any job runs), each job's, and the last job's.
+  auto print_load_errors = [&server] {
+    std::lock_guard<std::mutex> lock(g_print_mu);
+    for (const std::string& e : server.TakeLoadErrors()) {
+      std::cerr << "esdserved: cache: " << e << "\n";
+    }
+  };
+  print_load_errors();
+
   // Reads one manifest line's files into a queued job; a file that cannot
   // be read is reported immediately and the job skipped.
   auto submit = [&](const std::string& line, const std::string& origin) {
@@ -163,10 +173,8 @@ int main(int argc, char** argv) {
                       << out_path << "'\n";
           }
         }
+        print_load_errors();
         std::lock_guard<std::mutex> lock(g_print_mu);
-        for (const std::string& e : server.TakeLoadErrors()) {
-          std::cerr << "esdserved: cache: " << e << "\n";
-        }
         if (!r.ok) {
           std::cout << "job " << r.job_id << " error: " << r.error << "\n";
         } else if (r.reproduced) {
@@ -208,6 +216,7 @@ int main(int argc, char** argv) {
   for (std::thread& t : workers) {
     t.join();
   }
+  print_load_errors();
 
   serve::Server::Stats stats = server.stats();
   std::cout << "esdserved: " << stats.jobs << " jobs (" << stats.reproduced
